@@ -36,7 +36,3 @@ def build_app(app_id: str) -> AppStateMachine:
     if app_id not in BUILDERS:
         raise KeyError(f"unknown app {app_id!r}")
     return BUILDERS[app_id]()
-
-
-def build_apps(app_ids) -> list[AppStateMachine]:
-    return [build_app(a) for a in app_ids]

@@ -344,7 +344,8 @@ def build() -> AppStateMachine:
                          description="Send an email on the user's behalf."), api_send_email),
         ApiTool(ToolSpec("deliver_email", (Param("sender"), Param("subject"), Param("body"),
                                            Param("folder", required=False)),
-                         description="Deposit an incoming email into a folder."), api_deliver_email),
+                         description="Deposit an incoming email into a folder.",
+                         environment_only=True), api_deliver_email),
         ApiTool(ToolSpec("move_email", (Param("email_id"), Param("folder")),
                          description="Move an email to another folder."), api_move_email),
         ApiTool(ToolSpec("delete_email", (Param("email_id"),),

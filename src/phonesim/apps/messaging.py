@@ -121,7 +121,8 @@ def build() -> AppStateMachine:
         ApiTool(ToolSpec("receive_message",
                          (Param("sender"), Param("message"),
                           Param("conversation_id", required=False)),
-                         description="Deposit an incoming message."), api_receive_message),
+                         description="Deposit an incoming message.",
+                         environment_only=True), api_receive_message),
     )
     return AppStateMachine(
         app_id="MessagingApp",

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import llm as llm_mod
-from .apps import build_apps
 from .errors import PhonesimError
 from .fsm import render_app_reference
 from .metrics import aggregate_report
@@ -47,7 +46,8 @@ def _collect_scenarios(path_args: list[str]) -> list[Path]:
 def _policy_factory(spec: str, side: str, scenario: Scenario):
     """spec: 'noop' | 'scripted:<path>' | 'llm:<config path>'.
     For the assistant, 'observe=SPEC,execute=SPEC' builds a mode-split policy.
-    Returns a zero-arg factory producing a fresh policy per episode."""
+    Returns a zero-arg factory producing a fresh policy per episode; files are
+    read here, once, so the factory itself only creates per-episode state."""
     if side == "assistant" and "=" in spec:
         parts = dict(item.split("=", 1) for item in spec.split(","))
         observe = _policy_factory(parts["observe"], side, scenario)
@@ -67,7 +67,8 @@ def _policy_factory(spec: str, side: str, scenario: Scenario):
         config = llm_mod.load_llm_config(arg)
         context = {
             "AVAILABLE_APPS": ", ".join(scenario.apps),
-            "APP_REFERENCE": render_app_reference(build_apps(scenario.apps)),
+            "APP_REFERENCE": render_app_reference(
+                [scenario.machines[app] for app in scenario.apps]),
             "START_TIME": scenario.start_time,
             "TASK_DESCRIPTION": scenario.assistant_instructions,
         }
@@ -140,6 +141,12 @@ def cmd_run(args) -> int:
     noise_levels = _parse_sweep(args.noise_rate)
     fail_levels = _parse_sweep(args.failure_prob)
     model_label = _policy_label(args.assistant_policy)
+    # One pair of factories per scenario, built before any episode runs.
+    # Paired by position, not by id: two files may share a scenario id.
+    plans = [(scenario,
+              _policy_factory(args.user_policy, "user", scenario),
+              _policy_factory(args.assistant_policy, "assistant", scenario))
+             for scenario in scenarios]
 
     tasks = []
     for noise in noise_levels:
@@ -156,14 +163,14 @@ def cmd_run(args) -> int:
             }
             (cell / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-            for scenario in scenarios:
+            for plan in plans:
                 for run_index in range(args.runs):
-                    tasks.append((cell, scenario, run_index, noise, fail))
+                    tasks.append((cell, plan, run_index, noise, fail))
 
     def execute(task):
-        cell, scenario, run_index, noise, fail = task
-        user = _policy_factory(args.user_policy, "user", scenario)()
-        assistant = _policy_factory(args.assistant_policy, "assistant", scenario)()
+        cell, (scenario, make_user, make_assistant), run_index, noise, fail = task
+        user = make_user()
+        assistant = make_assistant()
         seed = run_seed(args.seed, scenario.id, run_index)
         record = run_episode(scenario, user, assistant, run_index=run_index,
                              seed=seed, noise_rate=noise, failure_prob=fail,

@@ -30,10 +30,6 @@ class SimClock:
         """Current time as 'YYYY-MM-DD HH:MM' for tool output and prompts."""
         return self.wall().strftime("%Y-%m-%d %H:%M")
 
-    def render_hour(self) -> str:
-        """Hour-precision form used by prompt templates."""
-        return self.wall().strftime(TIME_FORMAT)
-
     def to_dict(self) -> dict:
         return {
             "start_time": self.start_time.strftime(TIME_FORMAT),

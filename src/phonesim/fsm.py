@@ -36,6 +36,10 @@ class ToolSpec:
     params: tuple[Param, ...] = ()
     read_only: bool = False
     description: str = ""
+    # Environment-only tools deposit what the outside world sends (incoming
+    # mail, messages). Scripted events and noise use them; the assistant may
+    # not, or it could forge what the user receives.
+    environment_only: bool = False
 
     def qualified(self, app_id: str) -> str:
         return f"{app_id}__{self.name}"
@@ -129,6 +133,11 @@ class AppStateMachine:
     def api_tool(self, tool_name: str) -> ApiTool | None:
         return self._api.get(tool_name)
 
+    def agent_api_tools(self) -> list[ApiTool]:
+        """The flat API the assistant may call: every API tool that is not
+        environment-only."""
+        return [a for a in self.api_tools if not a.tool.environment_only]
+
     def fresh_session(self) -> dict:
         return {"state": self.initial_state, "ctx": {}}
 
@@ -220,6 +229,6 @@ def render_app_reference(machines: list[AppStateMachine]) -> str:
             lines.append(f"- [{t.state}] {t.tool.name}({params}){target}{ro}: {t.tool.description}")
         lines.append("")
         lines.append("## Flat API")
-        lines.append(render_tools_block(m.app_id, [a.tool for a in m.api_tools]))
+        lines.append(render_tools_block(m.app_id, [a.tool for a in m.agent_api_tools()]))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

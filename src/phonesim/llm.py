@@ -13,11 +13,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-import requests
-import yaml
-
 from .errors import EndpointUnavailable, RetriesExhausted
 from .interfaces import AgentView, UserView
+from .yamlfile import load_yaml
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,7 @@ class LLMConfig:
 
 
 def load_llm_config(path) -> LLMConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    return LLMConfig(**data)
+    return LLMConfig(**load_yaml(path))
 
 
 class LLMClient:
@@ -49,6 +45,10 @@ class LLMClient:
         return headers
 
     def complete(self, messages: list[dict]) -> str:
+        # Imported here: `requests` takes about 0.1 s to import, which every
+        # run without an llm: policy would otherwise pay.
+        import requests
+
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import yaml
-
 from .errors import ScenarioParseError
 from .react import format_step
+from .yamlfile import load_yaml
 
 WAIT_ACTION = "AgentUserInterface__wait"
 NOOP_ACTION = "noop"
@@ -71,8 +70,7 @@ class ScriptedPolicy:
 
 
 def load_script(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = load_yaml(path)
     if isinstance(data, dict):
         data = data.get("steps")
     if not isinstance(data, list):

@@ -3,7 +3,6 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
-from .apps import build_app
 from .errors import OracleExecutionError, SchemaError
 from .events import Event, EventSchedule, sample_noise_events
 from .scenario import OPS, Criterion, Scenario
@@ -43,7 +42,7 @@ def build_world(scenario: Scenario, mode: str = "policy",
                   tick_seconds=scenario.tick_seconds,
                   stochastic=stochastic)
     for app_id in scenario.apps:
-        world.register_app(build_app(app_id))
+        world.register_app(scenario.machines[app_id])
 
     for app_id, stores in scenario.init.items():
         for store_name, records in stores.items():

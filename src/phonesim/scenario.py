@@ -16,6 +16,8 @@ import yaml
 from .apps import BUILDERS, build_app
 from .errors import ScenarioParseError, SchemaError
 from .events import EVENT_KINDS, Event, EventSchedule
+from .fsm import AppStateMachine
+from .yamlfile import load_yaml
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +68,10 @@ class Scenario:
     max_turns: int = 10
     tick_seconds: int = 60
     stochastic: dict = field(default_factory=dict)
+    # One machine per app id, built when the scenario is parsed and shared,
+    # never mutated, by every world and thread that runs the scenario.
+    machines: dict[str, AppStateMachine] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def goals(self) -> list[str]:
         seen: list[str] = []
@@ -207,6 +213,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         max_turns=int(data.get("max_turns", 10)),
         tick_seconds=int(data.get("tick_seconds", 60)),
         stochastic=dict(data.get("stochastic", {})),
+        machines={app: build_app(app) for app in apps},
     )
     _check_payloads(scenario, source)
     _check_init(scenario, source)
@@ -214,11 +221,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
 
 
 def _check_payloads(scenario: Scenario, source: str) -> None:
-    machines = {app: build_app(app) for app in scenario.apps}
     for event in scenario.events:
         if event.kind == "completion":
             continue
-        machine = machines.get(event.app)
+        machine = scenario.machines.get(event.app)
         if machine is None:
             raise SchemaError(
                 f"{source}: event {event.id!r} targets app {event.app!r} "
@@ -232,11 +238,10 @@ def _check_payloads(scenario: Scenario, source: str) -> None:
 
 
 def _check_init(scenario: Scenario, source: str) -> None:
-    machines = {app: build_app(app) for app in scenario.apps}
     for app, stores in scenario.init.items():
-        if app not in machines:
+        if app not in scenario.machines:
             raise SchemaError(f"{source}.init: app {app!r} not in the scenario's app list")
-        declared = {name for name, _ in machines[app].stores}
+        declared = {name for name, _ in scenario.machines[app].stores}
         if not isinstance(stores, dict):
             raise SchemaError(f"{source}.init.{app}: expected a mapping of store -> records")
         for store, records in stores.items():
@@ -253,8 +258,7 @@ def _check_init(scenario: Scenario, source: str) -> None:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        data = load_yaml(path)
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
     except OSError as exc:

@@ -272,7 +272,7 @@ class World:
             (f"{SYSTEM_APP}__current_time", NAV_TOOLS["current_time"]),
         ]
         for app_id in sorted(self.apps):
-            for api in self.apps[app_id].api_tools:
+            for api in self.apps[app_id].agent_api_tools():
                 specs.append((api.tool.qualified(app_id), api.tool))
         return specs
 
@@ -284,7 +284,7 @@ class World:
         app_id, _, tool_name = qualified.partition("__")
         machine = self.apps.get(app_id)
         api = machine.api_tool(tool_name) if machine else None
-        if api is None:
+        if api is None or api.tool.environment_only:
             names = sorted(name for name, _ in self.agent_tool_specs())
             raise ToolNotAvailableInState(
                 f"{qualified!r} is not an available assistant tool; see: {names}")

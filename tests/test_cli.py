@@ -1,12 +1,18 @@
 import json
+import re
+import shlex
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
-from phonesim.cli import main
+import phonesim.cli
+from phonesim.cli import build_parser, main
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 SCENARIOS = DATA / "scenarios"
 SCRIPTS = DATA / "scripts"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_validate_pack_exits_zero(capsys):
@@ -49,16 +55,63 @@ def test_run_and_report_roundtrip(tmp_path, capsys):
 
 
 def test_run_is_deterministic_across_invocations(tmp_path):
+    """The whole pack over a noise x failure sweep writes the same bytes in
+    every cell, whether the episodes run on one thread or two."""
     outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
         main(["run",
-              "--scenarios", str(SCENARIOS / "apartment_budget.yaml"),
+              "--scenarios", str(SCENARIOS),
               "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",
               "--assistant-policy", f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}",
-              "--runs", "2", "--seed", "5", "--out", str(out)])
-        outs.append(next(out.rglob("records.jsonl")).read_text())
+              "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
+              "--failure-prob", "0,0.1", "--jobs", jobs, "--out", str(out)])
+        outs.append({p.parent.name: p.read_bytes()
+                     for p in sorted(out.glob("*/records.jsonl"))})
+    assert len(outs[0]) == 4
     assert outs[0] == outs[1]
+
+
+def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
+    calls = []
+    real = phonesim.cli.load_script
+
+    def counting(path):
+        calls.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(phonesim.cli, "load_script", counting)
+    code = main(["run",
+                 "--scenarios", str(SCENARIOS / "apartment_budget.yaml"),
+                 str(SCENARIOS / "email_reply.yaml"),
+                 "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",
+                 "--assistant-policy", f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}",
+                 "--runs", "3", "--jobs", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+    records = (tmp_path / "out" / "cell_noise0_fail0" / "records.jsonl").read_text()
+    assert len(records.splitlines()) == 6
+    assert len(calls) <= 4         # one per (policy spec, scenario)
+
+
+def test_readme_commands_parse():
+    text = README.read_text("utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("phonesim "):
+                commands.append(shlex.split(line))
+    assert len(commands) >= 4
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+def test_importing_cli_leaves_requests_unloaded():
+    # A fresh interpreter, so no other test's imports can hide the regression.
+    src = Path(phonesim.__file__).resolve().parent.parent
+    code = "import sys, phonesim.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sweep_creates_one_directory_per_cell(tmp_path):

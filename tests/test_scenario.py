@@ -7,6 +7,7 @@ import yaml
 from phonesim.errors import SchemaError
 from phonesim.runner import evaluate_success, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
+from phonesim.yamlfile import load_yaml
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 
@@ -27,6 +28,13 @@ def base_doc():
              "check": "count", "op": ">=", "value": 1},
         ],
     }
+
+
+def test_yaml_reader_matches_the_pure_python_safe_loader():
+    paths = sorted((DATA / "scenarios").glob("*.yaml")) + sorted((DATA / "scripts").glob("*.yaml"))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            assert load_yaml(path) == yaml.load(fh, Loader=yaml.SafeLoader), path
 
 
 def test_bundled_scenarios_load_and_solve_in_oracle_mode():

@@ -10,6 +10,7 @@ from phonesim.errors import (
     WriteInObserveMode,
 )
 from phonesim.events import Event, EventSchedule
+from phonesim.fsm import render_app_reference
 from phonesim.stochastic import StochasticConfig
 from phonesim.world import FAILURE_OBSERVATION, World
 
@@ -92,6 +93,33 @@ def test_failure_injection_hits_assistant_calls_only():
                                args={"sender": "a", "subject": "s", "body": "b"}))
     world.resolve_due_events()
     assert len(world.db.store("EmailApp", "emails")) == 1
+
+
+def test_environment_only_tools_closed_to_assistant_open_to_events():
+    world = make_world("EmailApp", "MessagingApp")
+    incoming = {
+        "EmailApp__deliver_email": {"sender": "a", "subject": "s", "body": "b"},
+        "MessagingApp__receive_message": {"sender": "Sam", "message": "hi"},
+    }
+    offered = {name for name, _ in world.agent_tool_specs()}
+    reference = render_app_reference(list(world.apps.values()))
+    for qualified, args in incoming.items():
+        assert qualified not in offered
+        assert qualified not in reference
+        with pytest.raises(ToolNotAvailableInState):
+            world.invoke_agent_tool(qualified, args, mode="execute")
+    assert world.tool_log == [] and world.invocation_counter == 0
+
+    for i, (qualified, args) in enumerate(incoming.items()):
+        app, _, tool = qualified.partition("__")
+        world.schedule_event(Event(id=f"e{i}", kind="environment",
+                                   schedule=EventSchedule.absolute(30),
+                                   app=app, tool=tool, args=args))
+    world.resolve_due_events()
+    assert len(world.db.store("EmailApp", "emails")) == 1
+    assert len(world.db.store("MessagingApp", "conversations")) == 1
+    assert [e["tool"] for e in world.tool_log] == list(incoming)
+    assert {e["actor"] for e in world.tool_log} == {"environment"}
 
 
 def test_event_with_unknown_tool_raises_payload_missing():
