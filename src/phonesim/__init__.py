@@ -6,7 +6,7 @@ validation, and an evaluation metric suite."""
 from .clock import SimClock
 from .database import Store, WorldDatabase, canonical_json, digest
 from .errors import PhonesimError
-from .events import Event, EventQueue, EventSchedule, sample_noise_events
+from .events import Event, EventQueue, sample_noise_events
 from .fsm import (
     AppStateMachine,
     Param,
@@ -34,9 +34,9 @@ from .world import World
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppStateMachine", "Episode", "Event", "EventQueue", "EventSchedule",
-    "NavigationState", "NoopPolicy", "Param", "PhonesimError", "Proposal",
-    "ProposalLog", "Scenario", "ScriptedPolicy", "SimClock",
+    "AppStateMachine", "Episode", "Event", "EventQueue", "NavigationState",
+    "NoopPolicy", "Param", "PhonesimError", "Proposal", "ProposalLog",
+    "Scenario", "ScriptedPolicy", "SimClock",
     "StochasticConfig", "Store", "ToolContext", "ToolSpec", "Transition",
     "TurnBudget", "World", "WorldDatabase", "acceptance_rate",
     "aggregate_report", "build_world", "canonical_json", "classify_outcomes",

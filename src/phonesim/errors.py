@@ -7,14 +7,6 @@ class PhonesimError(Exception):
 
 # -- scheduling / engine ------------------------------------------------------
 
-class UnknownAnchor(PhonesimError):
-    pass
-
-
-class CyclicSchedule(PhonesimError):
-    pass
-
-
 class PayloadToolMissing(PhonesimError):
     """An event payload names a tool that does not exist; scenario-authoring bug."""
 

@@ -1,8 +1,8 @@
 """Events and the delivery queue.
 
-Events carry a tool invocation as payload and fire at a resolved simulated
-time. Relative schedules anchor on an already-scheduled event; same-time
-events deliver FIFO by insertion sequence.
+Events carry a tool invocation as payload and fire at an absolute simulated
+time: a scenario's `after: {anchor, offset}` is resolved to seconds when the
+scenario loads. Same-time events deliver FIFO by insertion sequence.
 """
 
 from __future__ import annotations
@@ -12,45 +12,17 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import CyclicSchedule, UnknownAnchor
 from .stochastic import StochasticConfig, noise_arrival_times
 
 EVENT_KINDS = ("environment", "oracle_user", "oracle_agent", "noise", "completion")
 
 
+# Frozen: every world and thread that runs a scenario shares its events.
 @dataclass(frozen=True)
-class EventSchedule:
-    mode: str                    # "absolute" | "relative"
-    at: float | None = None      # seconds since scenario start (absolute)
-    anchor: str | None = None    # anchor event id (relative)
-    offset: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "at": self.at, "anchor": self.anchor, "offset": self.offset}
-
-    @classmethod
-    def absolute(cls, at: float) -> "EventSchedule":
-        return cls(mode="absolute", at=float(at))
-
-    @classmethod
-    def relative(cls, anchor: str, offset: float) -> "EventSchedule":
-        return cls(mode="relative", anchor=anchor, offset=float(offset))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventSchedule":
-        return cls(
-            mode=data["mode"],
-            at=data.get("at"),
-            anchor=data.get("anchor"),
-            offset=float(data.get("offset", 0.0)),
-        )
-
-
-@dataclass
 class Event:
     id: str
     kind: str                    # one of EVENT_KINDS
-    schedule: EventSchedule
+    at: float                    # seconds since scenario start
     app: str
     tool: str
     args: dict = field(default_factory=dict)
@@ -60,7 +32,7 @@ class Event:
         return {
             "id": self.id,
             "kind": self.kind,
-            "schedule": self.schedule.to_dict(),
+            "at": self.at,
             "app": self.app,
             "tool": self.tool,
             "args": self.args,
@@ -72,7 +44,7 @@ class Event:
         return cls(
             id=data["id"],
             kind=data["kind"],
-            schedule=EventSchedule.from_dict(data["schedule"]),
+            at=data["at"],
             app=data["app"],
             tool=data["tool"],
             args=dict(data.get("args", {})),
@@ -81,38 +53,16 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap keyed (resolved time, insertion sequence)."""
+    """Min-heap keyed (firing time, insertion sequence)."""
 
     def __init__(self):
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._resolved: dict[str, float] = {}   # event id -> firing time (anchor table)
 
     def schedule(self, event: Event) -> str:
-        if event.schedule.mode == "absolute":
-            when = float(event.schedule.at)
-        elif event.schedule.mode == "relative":
-            anchor = event.schedule.anchor
-            if anchor == event.id:
-                raise CyclicSchedule(f"event {event.id!r} anchors on itself")
-            if anchor not in self._resolved:
-                raise UnknownAnchor(f"event {event.id!r} anchors on unscheduled {anchor!r}")
-            if event.schedule.offset < 0:
-                raise CyclicSchedule(
-                    f"event {event.id!r} would fire before its anchor {anchor!r}"
-                )
-            when = self._resolved[anchor] + event.schedule.offset
-        else:
-            raise ValueError(f"unknown schedule mode {event.schedule.mode!r}")
-        self._resolved[event.id] = when
-        heapq.heappush(self._heap, (when, self._seq, event))
+        heapq.heappush(self._heap, (event.at, self._seq, event))
         self._seq += 1
         return event.id
-
-    def resolved_time(self, event_id: str) -> float:
-        if event_id not in self._resolved:
-            raise UnknownAnchor(f"no event {event_id!r} scheduled")
-        return self._resolved[event_id]
 
     def pop_due(self, now: float) -> list[tuple[float, Event]]:
         due = []
@@ -125,19 +75,16 @@ class EventQueue:
         return len(self._heap)
 
     def to_dict(self) -> dict:
-        pending = [
-            {"when": when, "seq": seq, "event": ev.to_dict()}
-            for when, seq, ev in sorted(self._heap)
-        ]
-        return {"pending": pending, "seq": self._seq, "resolved": self._resolved}
+        pending = [{"seq": seq, "event": ev.to_dict()} for _, seq, ev in sorted(self._heap)]
+        return {"pending": pending, "seq": self._seq}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EventQueue":
         q = cls()
         q._seq = data["seq"]
-        q._resolved = dict(data["resolved"])
         for item in data["pending"]:
-            heapq.heappush(q._heap, (item["when"], item["seq"], Event.from_dict(item["event"])))
+            event = Event.from_dict(item["event"])
+            heapq.heappush(q._heap, (event.at, item["seq"], event))
         return q
 
 
@@ -168,7 +115,7 @@ def sample_noise_events(
             Event(
                 id=f"noise-{i + 1:04d}",
                 kind="noise",
-                schedule=EventSchedule.absolute(t),
+                at=t,
                 app=entry["app"],
                 tool=entry["tool"],
                 args=dict(entry["args"]),

@@ -149,18 +149,17 @@ class LLMAssistantPolicy:
 
     def __init__(self, client: LLMClient, context: dict[str, str] | None = None):
         self.client = client
-        self.context = dict(context or {})
+        context = context or {}
+        self.observe_system = _fill(load_prompt("observe_system"), context)
+        self.execute_system = _fill(load_prompt("execute_system"), context)
         self.messages: list[dict] = []
-
-    def _system(self, mode: str) -> str:
-        name = "execute_system" if mode == "execute" else "observe_system"
-        return _fill(load_prompt(name), self.context)
 
     def act(self, view: AgentView, feedback: str | None = None) -> str:
         self.messages.append({"role": "user",
                               "content": render_agent_view(view, feedback)})
+        system = self.execute_system if view.mode == "execute" else self.observe_system
         out = self.client.complete(
-            [{"role": "system", "content": self._system(view.mode)}] + self.messages)
+            [{"role": "system", "content": system}] + self.messages)
         self.messages.append({"role": "assistant", "content": out})
         return out
 

@@ -3,8 +3,8 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
-from .errors import OracleExecutionError, SchemaError
-from .events import Event, EventSchedule, sample_noise_events
+from .errors import OracleExecutionError
+from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
 from .stochastic import StochasticConfig
 from .turnloop import Episode, TurnBudget
@@ -12,20 +12,6 @@ from .world import World
 
 POLICY_KINDS = ("environment", "completion")
 ORACLE_KINDS = ("environment", "oracle_user", "oracle_agent", "completion")
-
-
-def _resolve_times(events: list[Event]) -> dict[str, float]:
-    """Static firing times, so filtering kinds never breaks anchors."""
-    resolved: dict[str, float] = {}
-    for event in events:
-        sched = event.schedule
-        if sched.mode == "absolute":
-            resolved[event.id] = float(sched.at)
-        else:
-            if sched.anchor not in resolved:
-                raise SchemaError(f"event {event.id!r} anchors on unknown {sched.anchor!r}")
-            resolved[event.id] = resolved[sched.anchor] + sched.offset
-    return resolved
 
 
 def build_world(scenario: Scenario, mode: str = "policy",
@@ -54,16 +40,9 @@ def build_world(scenario: Scenario, mode: str = "policy",
                     store.counter = max(store.counter, int(suffix))
 
     kinds = ORACLE_KINDS if mode == "oracle" else POLICY_KINDS
-    times = _resolve_times(scenario.events)
     for event in scenario.events:
-        if event.kind not in kinds:
-            continue
-        world.schedule_event(Event(
-            id=event.id, kind=event.kind,
-            schedule=EventSchedule.absolute(times[event.id]),
-            app=event.app, tool=event.tool, args=dict(event.args),
-            notify=event.notify,
-        ))
+        if event.kind in kinds:
+            world.schedule_event(event)
 
     if mode == "policy" and stochastic.noise_rate > 0:
         horizon = scenario.max_turns * scenario.tick_seconds

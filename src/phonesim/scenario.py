@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .apps import BUILDERS, build_app
-from .errors import ScenarioParseError, SchemaError
-from .events import EVENT_KINDS, Event, EventSchedule
+from .errors import ArgumentInvalid, ScenarioParseError, SchemaError
+from .events import Event
 from .fsm import AppStateMachine
 from .yamlfile import load_yaml
 
@@ -90,12 +90,20 @@ def _req(data: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_event(data: dict, index: int, known_ids: set[str]) -> Event:
+def _seconds(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{where}: expected seconds as a number")
+    return float(value)
+
+
+def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
+    """`times` maps each earlier event id to its firing time; an `after`
+    schedule is resolved against it here, once."""
     where = f"events[{index}]"
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a mapping")
     event_id = _req(data, "id", str, where)
-    if event_id in known_ids:
+    if event_id in times:
         raise SchemaError(f"{where}.id: duplicate event id {event_id!r}")
     kind = _req(data, "kind", str, where)
     if kind not in SCRIPT_KINDS:
@@ -105,19 +113,18 @@ def _parse_event(data: dict, index: int, known_ids: set[str]) -> Event:
     if ("at" in data) == ("after" in data):
         raise SchemaError(f"{where}: give exactly one of 'at' or 'after'")
     if "at" in data:
-        if not isinstance(data["at"], (int, float)) or isinstance(data["at"], bool):
-            raise SchemaError(f"{where}.at: expected seconds as a number")
-        schedule = EventSchedule.absolute(data["at"])
+        at = _seconds(data["at"], f"{where}.at")
     else:
         after = _req(data, "after", dict, where)
         anchor = _req(after, "anchor", str, f"{where}.after")
-        if anchor not in known_ids:
+        if anchor not in times:
             raise SchemaError(
                 f"{where}.after.anchor: {anchor!r} must name an earlier event")
-        offset = after.get("offset", 0)
-        if not isinstance(offset, (int, float)) or isinstance(offset, bool):
-            raise SchemaError(f"{where}.after.offset: expected seconds as a number")
-        schedule = EventSchedule.relative(anchor, offset)
+        offset = _seconds(after.get("offset", 0), f"{where}.after.offset")
+        if offset < 0:
+            raise SchemaError(
+                f"{where}.after.offset: {offset:g} would fire before anchor {anchor!r}")
+        at = times[anchor] + offset
     app = data.get("app", "")
     tool = data.get("tool", "")
     if kind != "completion":
@@ -129,7 +136,7 @@ def _parse_event(data: dict, index: int, known_ids: set[str]) -> Event:
     notify = data.get("notify", "both")
     if notify not in ("both", "user", "assistant", "none"):
         raise SchemaError(f"{where}.notify: {notify!r} invalid")
-    return Event(id=event_id, kind=kind, schedule=schedule,
+    return Event(id=event_id, kind=kind, at=at,
                  app=app, tool=tool, args=args, notify=notify)
 
 
@@ -188,11 +195,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
             raise SchemaError(
                 f"{source}.apps[{i}]: unknown app {app!r}; known: {sorted(BUILDERS)}")
 
-    known_ids: set[str] = set()
+    times: dict[str, float] = {}
     events = []
     for i, item in enumerate(data.get("events", [])):
-        event = _parse_event(item, i, known_ids)
-        known_ids.add(event.id)
+        event = _parse_event(item, i, times)
+        times[event.id] = event.at
         events.append(event)
 
     validation_raw = data.get("validation", [])
@@ -235,6 +242,10 @@ def _check_payloads(scenario: Scenario, source: str) -> None:
             raise SchemaError(
                 f"{source}: event {event.id!r} targets unknown tool "
                 f"{event.app}__{event.tool}; available: {names}")
+        try:
+            api.tool.validate_args(event.args)
+        except ArgumentInvalid as exc:
+            raise SchemaError(f"{source}: event {event.id!r}: {exc}") from exc
 
 
 def _check_init(scenario: Scenario, source: str) -> None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import (
     EpisodeFinished,
     MalformedAction,
-    PayloadToolMissing,
     PhonesimError,
     ProposalAlreadyPending,
 )
@@ -64,7 +63,7 @@ class Episode:
         world.turn += 1
         try:
             world.resolve_due_events()
-        except PayloadToolMissing as exc:
+        except PhonesimError as exc:
             self._abort(f"bad event payload: {exc}")
             return
         self._user_phase()

@@ -13,7 +13,7 @@ import copy
 import json
 
 from .clock import SimClock, parse_start_time
-from .database import WorldDatabase, canonical_json, digest
+from .database import WorldDatabase, digest
 from .errors import (
     ArgumentInvalid,
     DuplicateAppId,
@@ -37,7 +37,7 @@ from .interfaces import (
 )
 from .stochastic import StochasticConfig, maybe_fail_tool
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 SYSTEM_APP = "SystemApp"
 AGENT_UI = "AgentUserInterface"
@@ -239,17 +239,23 @@ class World:
         ctx = ToolContext(db=self.db, app_id=app_id, clock=self.clock,
                           session=session, args=args,
                           current_user=self.current_user)
-        backup = None if transition.tool.read_only else self.db.copy_app(app_id)
-        try:
-            outcome = transition.handler(ctx)
-        except (GuardFailed, ArgumentInvalid):
-            if backup is not None:
-                self.db.restore_app(app_id, backup)
-            raise
+        outcome = self._guarded(transition.tool, transition.handler, ctx)
         session["state"] = ctx.next_state or transition.default_target() or session["state"]
         self._log_tool("user", f"{app_id}__{tool_name}", args, mode=None,
                        outcome=outcome)
         return outcome
+
+    def _guarded(self, tool: ToolSpec, handler, ctx: ToolContext) -> str:
+        """Run a user or assistant handler; a write that a guard or an
+        argument check rejects leaves the app's stores as they were."""
+        if tool.read_only:
+            return handler(ctx)
+        backup = self.db.copy_app(ctx.app_id)
+        try:
+            return handler(ctx)
+        except (GuardFailed, ArgumentInvalid):
+            self.db.restore_app(ctx.app_id, backup)
+            raise
 
     def _respond_to_proposal(self, decision: str) -> str:
         proposal = self.proposals.respond(decision, self.turn)
@@ -299,13 +305,7 @@ class World:
 
         ctx = ToolContext(db=self.db, app_id=app_id, clock=self.clock,
                           session={}, args=args, current_user=self.current_user)
-        backup = None if api.tool.read_only else self.db.copy_app(app_id)
-        try:
-            outcome = api.handler(ctx)
-        except (GuardFailed, ArgumentInvalid):
-            if backup is not None:
-                self.db.restore_app(app_id, backup)
-            raise
+        outcome = self._guarded(api.tool, api.handler, ctx)
         if api.tool.read_only:
             self.read_actions_total += 1
             if mode == "observe":
@@ -426,17 +426,3 @@ class World:
         self.tool_log = snapshot["tool_log"]
         self.event_log = snapshot["event_log"]
 
-
-def save_snapshot(path, snapshot: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(snapshot))
-
-
-def load_snapshot(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        snapshot = json.load(fh)
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise IncompatibleSnapshot(
-            f"snapshot version {snapshot.get('version')!r} "
-            f"!= engine version {SNAPSHOT_VERSION}")
-    return snapshot

@@ -26,7 +26,7 @@ from phonesim import (
 )
 from phonesim.apps import DOMAIN_APPS, build_app
 from phonesim.errors import NoProposals, PhonesimError
-from phonesim.events import Event, EventSchedule
+from phonesim.events import Event
 from phonesim.metrics import acceptance_rate, proposal_rate
 from phonesim.policies import load_script, scripted_assistant_policy, scripted_user_policy
 from phonesim.react import format_step
@@ -201,7 +201,7 @@ def test_criterion_03_observation_asymmetry_audit():
         for app in ("EmailApp", "CabApp"):
             world.register_app(build_app(app))
         world.schedule_event(Event(
-            id="e1", kind="environment", schedule=EventSchedule.absolute(60),
+            id="e1", kind="environment", at=60,
             app="EmailApp", tool="deliver_email",
             args={"sender": "a@b.example", "subject": "s", "body": "x" * 200}))
         episode = Episode(world, FuzzUser(world, i), FuzzReader(world, 1000 + i),

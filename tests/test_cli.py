@@ -155,3 +155,29 @@ def test_report_uneven_counts_exits_one(tmp_path, capsys):
                 "turns_used": 1, "model": "m", "noise_rate": 0, "failure_prob": 0,
             }) + "\n")
     assert main(["report", "--records", str(out), "--runs", "2"]) == 1
+
+
+def test_failing_event_aborts_only_its_own_episode(tmp_path):
+    broken = tmp_path / "broken_move.yaml"
+    broken.write_text(
+        "schema_version: 1\nid: broken_move\napps: [EmailApp]\n"
+        "start_time: '2025-01-01 08'\nmax_turns: 4\n"
+        "events:\n"
+        "  - {id: e-move, kind: environment, at: 60, app: EmailApp,\n"
+        "     tool: move_email, args: {email_id: E999, folder: archive}}\n"
+        "validation:\n"
+        "  - {kind: db_predicate, app: EmailApp, store: emails, check: count,\n"
+        "     op: '>=', value: 0}\n", "utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--scenarios", str(broken), str(SCENARIOS / "email_reply.yaml"),
+                 "--runs", "2", "--jobs", "2", "--out", str(out)])
+    assert code == 2
+    records = [json.loads(line) for line in
+               (out / "cell_noise0_fail0" / "records.jsonl").read_text().splitlines()]
+    by_id = {}
+    for record in records:
+        by_id.setdefault(record["scenario_id"], []).append(record)
+    assert sorted(by_id) == ["broken_move", "email_reply"] and len(records) == 4
+    for record in by_id["broken_move"]:
+        assert "E999" in record["aborted_reason"] and record["turns_used"] == 1
+    assert not any("aborted_reason" in r for r in by_id["email_reply"])

@@ -1,12 +1,9 @@
-import pytest
-
 from phonesim.clock import SimClock, parse_start_time
-from phonesim.errors import CyclicSchedule, UnknownAnchor
-from phonesim.events import Event, EventQueue, EventSchedule
+from phonesim.events import Event, EventQueue
 
 
-def make_event(eid, schedule):
-    return Event(id=eid, kind="environment", schedule=schedule,
+def make_event(eid, at):
+    return Event(id=eid, kind="environment", at=at,
                  app="EmailApp", tool="deliver_email", args={})
 
 
@@ -23,53 +20,27 @@ def test_clock_roundtrip():
     assert SimClock.from_dict(clock.to_dict()).render() == clock.render()
 
 
-def test_relative_chain_resolves_to_known_times():
-    # Oracle, by hand: base fires at 60; +120 puts the second at 180;
-    # +60 after that puts the third at 240.
-    q = EventQueue()
-    q.schedule(make_event("a", EventSchedule.absolute(60)))
-    q.schedule(make_event("b", EventSchedule.relative("a", 120)))
-    q.schedule(make_event("c", EventSchedule.relative("b", 60)))
-    assert q.resolved_time("a") == 60
-    assert q.resolved_time("b") == 180
-    assert q.resolved_time("c") == 240
-
-
 def test_same_time_events_deliver_fifo():
     q = EventQueue()
     for eid in ("first", "second", "third"):
-        q.schedule(make_event(eid, EventSchedule.absolute(60)))
+        q.schedule(make_event(eid, 60.0))
     popped = [event.id for _, event in q.pop_due(60)]
     assert popped == ["first", "second", "third"]
 
 
 def test_pop_due_leaves_future_events():
     q = EventQueue()
-    q.schedule(make_event("now", EventSchedule.absolute(60)))
-    q.schedule(make_event("later", EventSchedule.absolute(61)))
+    q.schedule(make_event("now", 60.0))
+    q.schedule(make_event("later", 61.0))
     assert [e.id for _, e in q.pop_due(60)] == ["now"]
     assert len(q) == 1
 
 
-def test_unknown_anchor_rejected():
-    q = EventQueue()
-    with pytest.raises(UnknownAnchor):
-        q.schedule(make_event("b", EventSchedule.relative("ghost", 10)))
-
-
-def test_self_anchor_and_negative_offset_rejected():
-    q = EventQueue()
-    q.schedule(make_event("a", EventSchedule.absolute(60)))
-    with pytest.raises(CyclicSchedule):
-        q.schedule(make_event("a2", EventSchedule(mode="relative", anchor="a2", offset=5)))
-    with pytest.raises(CyclicSchedule):
-        q.schedule(make_event("b", EventSchedule.relative("a", -1)))
-
-
 def test_queue_snapshot_roundtrip():
     q = EventQueue()
-    q.schedule(make_event("a", EventSchedule.absolute(60)))
-    q.schedule(make_event("b", EventSchedule.relative("a", 120)))
+    q.schedule(make_event("b", 180.0))
+    q.schedule(make_event("a", 60.0))
+    q.schedule(make_event("a2", 60.0))
     q2 = EventQueue.from_dict(q.to_dict())
-    assert q2.resolved_time("b") == 180
-    assert [e.id for _, e in q2.pop_due(300)] == ["a", "b"]
+    assert q2.to_dict() == q.to_dict()
+    assert [(t, e.id) for t, e in q2.pop_due(300)] == [(60.0, "a"), (60.0, "a2"), (180.0, "b")]

@@ -1,7 +1,7 @@
 import pytest
 
 from phonesim.errors import NavigationNotAvailable, NoPendingProposal, ProposalAlreadyPending
-from phonesim.events import Event, EventSchedule
+from phonesim.events import Event
 from phonesim.interfaces import (
     BODY_TRUNCATION,
     TRUNCATION_BUDGET,
@@ -14,7 +14,7 @@ from phonesim.interfaces import (
 
 
 def make_event(args, app="EmailApp"):
-    return Event(id="e1", kind="environment", schedule=EventSchedule.absolute(60),
+    return Event(id="e1", kind="environment", at=60,
                  app=app, tool="deliver_email", args=args)
 
 

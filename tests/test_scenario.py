@@ -62,6 +62,10 @@ def test_unknown_app_and_tool_diagnosed_with_location():
     doc["events"][0]["tool"] = "nonexistent"
     with pytest.raises(SchemaError, match="nonexistent"):
         parse_scenario(doc)
+    doc = base_doc()
+    doc["events"][0]["args"]["colour"] = "red"
+    with pytest.raises(SchemaError, match="'e1'.*colour"):
+        parse_scenario(doc)
 
 
 def test_anchor_must_name_earlier_event():
@@ -71,6 +75,34 @@ def test_anchor_must_name_earlier_event():
                           "app": "EmailApp", "tool": "deliver_email",
                           "args": {"sender": "a", "subject": "s", "body": "b"}})
     with pytest.raises(SchemaError, match="anchor"):
+        parse_scenario(doc)
+
+
+def deliver(event_id, **schedule):
+    return {"id": event_id, "kind": "environment", "app": "EmailApp",
+            "tool": "deliver_email", "args": {"sender": "a", "subject": "s", "body": "b"},
+            **schedule}
+
+
+def test_relative_chain_resolves_to_known_times():
+    # Oracle, by hand: base fires at 60; +120 puts the second at 180;
+    # +60 after that puts the third at 240.
+    doc = base_doc()
+    doc["events"] = [deliver("a", at=60),
+                     deliver("b", after={"anchor": "a", "offset": 120}),
+                     deliver("c", after={"anchor": "b", "offset": 60})]
+    scenario = parse_scenario(doc)
+    assert [(e.id, e.at) for e in scenario.events] == [("a", 60), ("b", 180), ("c", 240)]
+
+
+def test_self_anchor_and_negative_offset_rejected():
+    doc = base_doc()
+    doc["events"].append(deliver("e2", after={"anchor": "e2", "offset": 5}))
+    with pytest.raises(SchemaError, match=r"events\[1\]\.after\.anchor"):
+        parse_scenario(doc)
+    doc = base_doc()
+    doc["events"].append(deliver("e2", after={"anchor": "e1", "offset": -1}))
+    with pytest.raises(SchemaError, match=r"events\[1\]\.after\.offset"):
         parse_scenario(doc)
 
 

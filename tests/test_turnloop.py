@@ -106,10 +106,9 @@ def test_malformed_assistant_output_consumes_retries_then_skips():
 
 
 def test_completion_event_ends_episode_early():
-    from phonesim.events import Event, EventSchedule
+    from phonesim.events import Event
     world = make_world()
-    world.schedule_event(Event(id="end", kind="completion",
-                               schedule=EventSchedule.absolute(120),
+    world.schedule_event(Event(id="end", kind="completion", at=120,
                                app="", tool="", args={}))
     episode = Episode(world, NoopPolicy("noop"), NoopPolicy(WAIT),
                       TurnBudget(max_turns=10))

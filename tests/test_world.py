@@ -9,7 +9,7 @@ from phonesim.errors import (
     ToolNotAvailableInState,
     WriteInObserveMode,
 )
-from phonesim.events import Event, EventSchedule
+from phonesim.events import Event
 from phonesim.fsm import render_app_reference
 from phonesim.stochastic import StochasticConfig
 from phonesim.world import FAILURE_OBSERVATION, World
@@ -87,8 +87,7 @@ def test_failure_injection_hits_assistant_calls_only():
     # user tools and events are exempt from injection
     world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
     assert world.invoke_user_tool("EmailApp__list_emails", {})
-    world.schedule_event(Event(id="e1", kind="environment",
-                               schedule=EventSchedule.absolute(30),
+    world.schedule_event(Event(id="e1", kind="environment", at=30,
                                app="EmailApp", tool="deliver_email",
                                args={"sender": "a", "subject": "s", "body": "b"}))
     world.resolve_due_events()
@@ -112,8 +111,7 @@ def test_environment_only_tools_closed_to_assistant_open_to_events():
 
     for i, (qualified, args) in enumerate(incoming.items()):
         app, _, tool = qualified.partition("__")
-        world.schedule_event(Event(id=f"e{i}", kind="environment",
-                                   schedule=EventSchedule.absolute(30),
+        world.schedule_event(Event(id=f"e{i}", kind="environment", at=30,
                                    app=app, tool=tool, args=args))
     world.resolve_due_events()
     assert len(world.db.store("EmailApp", "emails")) == 1
@@ -124,8 +122,7 @@ def test_environment_only_tools_closed_to_assistant_open_to_events():
 
 def test_event_with_unknown_tool_raises_payload_missing():
     world = make_world("EmailApp")
-    world.schedule_event(Event(id="e1", kind="environment",
-                               schedule=EventSchedule.absolute(30),
+    world.schedule_event(Event(id="e1", kind="environment", at=30,
                                app="EmailApp", tool="no_such_tool", args={}))
     with pytest.raises(PayloadToolMissing):
         world.resolve_due_events()
@@ -133,8 +130,7 @@ def test_event_with_unknown_tool_raises_payload_missing():
 
 def test_event_notifications_route_per_recipient():
     world = make_world("EmailApp")
-    world.schedule_event(Event(id="e1", kind="environment",
-                               schedule=EventSchedule.absolute(30),
+    world.schedule_event(Event(id="e1", kind="environment", at=30,
                                app="EmailApp", tool="deliver_email",
                                args={"sender": "a", "subject": "s", "body": "b"},
                                notify="user"))
@@ -149,11 +145,15 @@ def test_checkpoint_restore_roundtrip_and_compat_guard():
     world.invoke_agent_tool("EmailApp__send_email",
                             {"recipients": ["a"], "subject": "s", "body": "b"},
                             mode="execute")
+    world.schedule_event(Event(id="later", kind="environment", at=120,
+                               app="EmailApp", tool="deliver_email",
+                               args={"sender": "a", "subject": "s", "body": "b"}))
     snap = world.checkpoint()
     world.invoke_agent_tool("EmailApp__delete_email", {"email_id": "E001"},
                             mode="execute")
     world.restore(snap)
     assert world.checkpoint() == snap
+    assert [(t, e.id) for t, e in world.queue.pop_due(120)] == [(120, "later")]
 
     other = make_world("CabApp")
     with pytest.raises(IncompatibleSnapshot):
