@@ -1,5 +1,9 @@
+import pytest
+
 from phonesim.clock import SimClock, parse_start_time
+from phonesim.errors import SchemaError
 from phonesim.events import Event, EventQueue
+from phonesim.scenario import parse_scenario
 
 
 def make_event(eid, at):
@@ -34,6 +38,24 @@ def test_pop_due_leaves_future_events():
     q.schedule(make_event("later", 61.0))
     assert [e.id for _, e in q.pop_due(60)] == ["now"]
     assert len(q) == 1
+
+
+def test_unknown_anchor_rejected():
+    # Anchors resolve at load, in file order: an anchor that names a later
+    # event, or no event at all, has no known time yet and is refused.
+    def deliver(eid, **schedule):
+        return {"id": eid, "kind": "environment", "app": "EmailApp",
+                "tool": "deliver_email",
+                "args": {"sender": "a", "subject": "s", "body": "b"}, **schedule}
+
+    for anchor in ("later", "ghost"):
+        doc = {"schema_version": 1, "id": "t", "apps": ["EmailApp"],
+               "start_time": "2025-01-01 08",
+               "events": [deliver("early", after={"anchor": anchor, "offset": 10}),
+                          deliver("later", at=60)],
+               "validation": []}
+        with pytest.raises(SchemaError, match=r"events\[0\]\.after\.anchor"):
+            parse_scenario(doc)
 
 
 def test_queue_snapshot_roundtrip():
