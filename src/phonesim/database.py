@@ -3,6 +3,16 @@
 Records are plain JSON-serializable dicts so snapshots, digests, and replay
 comparisons are byte-exact. All mutation flows through tool handlers; nothing
 else writes here.
+
+A write that fails is rolled back through a per-call undo journal, not a
+copy of the app's stores. `WorldDatabase.copy_app` opens a journal on each
+store of the app. While it is open, `get`, `remove`, `add`, `find` and `all`
+save the prior value of every record id they touch or return, once per id: a
+deep copy of the record, or `None` if it did not exist. Handlers may then
+mutate the dicts those methods return in place. `restore_app` puts the saved
+records and id counters back, and `close_app` drops the journal; outside an
+open journal each method pays one `is None` test. `to_dict`/`from_dict` and
+`dump`/`load` serve snapshots.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ class Store:
         self.prefix = prefix
         self.records: dict[str, dict] = {}
         self.counter = 0
+        # record id -> prior value (a deep copy, or None if it did not exist),
+        # kept while a write is open; None otherwise.
+        self.undo: dict[str, dict | None] | None = None
 
     def next_id(self) -> str:
         self.counter += 1
@@ -38,26 +51,52 @@ class Store:
         rid = record_id or record.get("id") or self.next_id()
         if rid in self.records:
             raise SeedDataInvalid(f"duplicate record id {rid!r}")
+        if self.undo is not None:
+            self._save(rid)
         record = dict(record)
         record["id"] = rid
         self.records[rid] = record
         return rid
 
     def get(self, record_id: str) -> dict | None:
+        if self.undo is not None:
+            self._save(record_id)
         return self.records.get(record_id)
 
     def remove(self, record_id: str) -> dict | None:
+        if self.undo is not None:
+            self._save(record_id)
         return self.records.pop(record_id, None)
 
     def all(self) -> list[dict]:
-        return [self.records[k] for k in sorted(self.records)]
+        out = [self.records[k] for k in sorted(self.records)]
+        if self.undo is not None:
+            for rec in out:
+                self._save(rec["id"])
+        return out
 
     def find(self, **fields) -> list[dict]:
-        out = []
-        for rec in self.all():
-            if all(rec.get(k) == v for k, v in fields.items()):
-                out.append(rec)
+        out = [rec for rec in (self.records[k] for k in sorted(self.records))
+               if all(rec.get(k) == v for k, v in fields.items())]
+        if self.undo is not None:
+            for rec in out:
+                self._save(rec["id"])
         return out
+
+    def _save(self, record_id: str) -> None:
+        if record_id not in self.undo:
+            rec = self.records.get(record_id)
+            self.undo[record_id] = None if rec is None else copy.deepcopy(rec)
+
+    def rollback(self) -> None:
+        """Put back every record the open journal saved; records added since
+        it opened are dropped."""
+        for rid, prior in self.undo.items():
+            if prior is None:
+                self.records.pop(rid, None)
+            else:
+                self.records[rid] = prior
+        self.undo = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -107,8 +146,21 @@ class WorldDatabase:
     def digest(self) -> str:
         return digest(self.dump())
 
-    def copy_app(self, app_id: str) -> dict:
-        return copy.deepcopy({n: s.to_dict() for n, s in self._stores.get(app_id, {}).items()})
+    def copy_app(self, app_id: str) -> dict[str, int]:
+        """Open an undo journal on each store of the app; return the stores'
+        id counters for `restore_app`."""
+        stores = self.app_stores(app_id)
+        for store in stores.values():
+            store.undo = {}
+        return {name: store.counter for name, store in stores.items()}
 
-    def restore_app(self, app_id: str, saved: dict) -> None:
-        self._stores[app_id] = {n: Store.from_dict(sd) for n, sd in saved.items()}
+    def restore_app(self, app_id: str, saved: dict[str, int]) -> None:
+        """Undo every journaled change since `copy_app` returned `saved`."""
+        for name, store in self.app_stores(app_id).items():
+            store.rollback()
+            store.counter = saved[name]
+
+    def close_app(self, app_id: str) -> None:
+        """Close the app's journals, keeping whatever was written."""
+        for store in self.app_stores(app_id).values():
+            store.undo = None

@@ -3,6 +3,8 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
+import copy
+
 from .errors import OracleExecutionError
 from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
@@ -34,7 +36,8 @@ def build_world(scenario: Scenario, mode: str = "policy",
         for store_name, records in stores.items():
             store = world.db.store(app_id, store_name)
             for record in records:
-                rid = store.add(record)
+                # A deep copy: worlds built from one scenario share its init.
+                rid = store.add(copy.deepcopy(record))
                 suffix = rid[len(store.prefix):]
                 if rid.startswith(store.prefix) and suffix.isdigit():
                     store.counter = max(store.counter, int(suffix))

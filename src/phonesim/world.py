@@ -247,15 +247,22 @@ class World:
 
     def _guarded(self, tool: ToolSpec, handler, ctx: ToolContext) -> str:
         """Run a user or assistant handler; a write that a guard or an
-        argument check rejects leaves the app's stores as they were."""
+        argument check rejects leaves the app's stores as they were.
+
+        A write runs under an undo journal on the app's stores, which saves
+        each record the handler reaches before it can change it. The journal
+        is replayed on `GuardFailed` or `ArgumentInvalid` and closed on every
+        exit; any other exception propagates and keeps its writes."""
         if tool.read_only:
             return handler(ctx)
-        backup = self.db.copy_app(ctx.app_id)
+        saved = self.db.copy_app(ctx.app_id)
         try:
             return handler(ctx)
         except (GuardFailed, ArgumentInvalid):
-            self.db.restore_app(ctx.app_id, backup)
+            self.db.restore_app(ctx.app_id, saved)
             raise
+        finally:
+            self.db.close_app(ctx.app_id)
 
     def _respond_to_proposal(self, decision: str) -> str:
         proposal = self.proposals.respond(decision, self.turn)

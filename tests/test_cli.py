@@ -72,6 +72,36 @@ def test_run_is_deterministic_across_invocations(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_runs_of_one_scenario_do_not_share_init(tmp_path):
+    """Every run starts from the scenario's own init, so each sees one
+    incoming message, on one thread or two."""
+    scenario = tmp_path / "shared_init.yaml"
+    scenario.write_text(
+        "schema_version: 1\nid: shared_init\napps: [MessagingApp]\n"
+        "start_time: '2025-01-01 08'\nmax_turns: 3\n"
+        "init:\n  MessagingApp:\n    conversations:\n"
+        "      - {title: Ana, participants: [ana, user],\n"
+        "         messages: [{sender: ana, content: hello, timestamp: '2025-01-01 07:00'}]}\n"
+        "events:\n"
+        "  - {id: e1, kind: environment, at: 60, app: MessagingApp, tool: receive_message,\n"
+        "     args: {sender: ana, message: again, conversation_id: CV001}}\n"
+        "validation:\n"
+        "  - {kind: db_predicate, app: MessagingApp, store: conversations,\n"
+        "     where: {id: CV001}, check: all, field: messages, op: '==',\n"
+        "     value: [{sender: ana, content: hello, timestamp: '2025-01-01 07:00'},\n"
+        "             {sender: ana, content: again, timestamp: '2025-01-01 08:01'}]}\n",
+        "utf-8")
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--scenarios", str(scenario), "--runs", "4",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append((out / "cell_noise0_fail0" / "records.jsonl").read_bytes())
+    assert outs[0] == outs[1]
+    records = [json.loads(line) for line in outs[0].decode().splitlines()]
+    assert len(records) == 4 and all(r["success"] for r in records)
+
+
 def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
     calls = []
     real = phonesim.cli.load_script

@@ -42,8 +42,10 @@ def test_database_dump_load_digest_roundtrip():
 def test_copy_restore_app_rolls_back_writes():
     db = WorldDatabase()
     db.create_store("EmailApp", "emails", "E")
-    db.store("EmailApp", "emails").add({"subject": "keep"})
+    db.store("EmailApp", "emails").add({"subject": "keep", "labels": []})
     saved = db.copy_app("EmailApp")
+    db.store("EmailApp", "emails").get("E001")["labels"].append("edited")
     db.store("EmailApp", "emails").add({"subject": "discard"})
     db.restore_app("EmailApp", saved)
     assert [r["subject"] for r in db.store("EmailApp", "emails").all()] == ["keep"]
+    assert db.store("EmailApp", "emails").get("E001")["labels"] == []

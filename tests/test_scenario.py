@@ -1,3 +1,4 @@
+import copy
 from importlib import resources
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 import yaml
 
 from phonesim.errors import SchemaError
-from phonesim.runner import evaluate_success, run_oracle
+from phonesim.runner import build_world, evaluate_success, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
 from phonesim.yamlfile import load_yaml
 
@@ -28,6 +29,45 @@ def base_doc():
              "check": "count", "op": ">=", "value": 1},
         ],
     }
+
+
+def messaging_doc():
+    """One seeded conversation and one incoming message into it."""
+    return {
+        "schema_version": 1,
+        "id": "shared_init",
+        "apps": ["MessagingApp"],
+        "start_time": "2025-01-01 08",
+        "max_turns": 3,
+        "init": {"MessagingApp": {"conversations": [
+            {"title": "Ana", "participants": ["ana", "user"],
+             "messages": [{"sender": "ana", "content": "hello",
+                           "timestamp": "2025-01-01 07:00"}]}]}},
+        "events": [
+            {"id": "e1", "kind": "environment", "at": 60, "app": "MessagingApp",
+             "tool": "receive_message",
+             "args": {"sender": "ana", "message": "again", "conversation_id": "CV001"}},
+        ],
+        "validation": [
+            {"kind": "db_predicate", "app": "MessagingApp", "store": "conversations",
+             "check": "count", "op": "==", "value": 1},
+        ],
+    }
+
+
+def test_worlds_do_not_share_init_records():
+    scenario = parse_scenario(messaging_doc())
+    init = copy.deepcopy(scenario.init)
+    digests = []
+    for _ in range(3):
+        world = build_world(scenario)
+        for _ in range(3):
+            world.resolve_due_events()
+        conv = world.db.store("MessagingApp", "conversations").get("CV001")
+        assert [m["content"] for m in conv["messages"]] == ["hello", "again"]
+        digests.append(world.db_digest())
+    assert len(set(digests)) == 1
+    assert scenario.init == init
 
 
 def test_yaml_reader_matches_the_pure_python_safe_loader():

@@ -1,7 +1,11 @@
+import copy
+
 import pytest
 
+import phonesim.database
 from phonesim.apps import build_app
 from phonesim.errors import (
+    ArgumentInvalid,
     DuplicateAppId,
     GuardFailed,
     IncompatibleSnapshot,
@@ -10,7 +14,7 @@ from phonesim.errors import (
     WriteInObserveMode,
 )
 from phonesim.events import Event
-from phonesim.fsm import render_app_reference
+from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
 from phonesim.stochastic import StochasticConfig
 from phonesim.world import FAILURE_OBSERVATION, World
 
@@ -76,6 +80,110 @@ def test_failed_write_handler_rolls_back_store():
         world.invoke_agent_tool("ShoppingApp__get_order", {"order_id": "nope"},
                                 mode="observe")
     assert world.db_digest() == before
+
+
+def _email(i, folder="inbox"):
+    return {"folder": folder, "sender": f"s{i}@x.y", "recipients": ["user"], "cc": [],
+            "subject": f"subject {i}", "body": "b", "attachments": [],
+            "timestamp": "t", "read": False}
+
+
+def _journals(world):
+    return [store.undo for app_id in world.apps
+            for store in world.db.app_stores(app_id).values()]
+
+
+def _touch_every_route(ctx):
+    """Reach records by every store route and change each one in place."""
+    emails = ctx.store("emails")
+    emails.remove("E003")
+    emails.get("E001")["read"] = True
+    emails.get("E002")["recipients"].append("eve")
+    emails.find(folder="archive")[0]["subject"] = "edited via find"
+    emails.all()[-1]["cc"].append("carol")
+    emails.add(_email(9))
+
+
+@pytest.mark.parametrize("exc", [GuardFailed, ArgumentInvalid])
+def test_guarded_write_journal_on_every_exit(exc):
+    world = make_world("EmailApp", "MessagingApp")
+    emails = world.db.store("EmailApp", "emails")
+    for i in range(5):
+        emails.add(_email(i, folder="archive" if i == 3 else "inbox"))
+    ctx = ToolContext(db=world.db, app_id="EmailApp", clock=world.clock, session={},
+                      args={}, current_user="user")
+    write = ToolSpec("write")
+
+    # A guard or argument failure restores every record and the id counter.
+    dump, before = copy.deepcopy(world.db.dump()), world.db_digest()
+    next_id = f"E{emails.counter + 1:03d}"
+
+    def failing(ctx):
+        _touch_every_route(ctx)
+        raise exc("rejected after writing")
+
+    with pytest.raises(exc):
+        world._guarded(write, failing, ctx)
+    assert world.db.dump() == dump
+    assert world.db_digest() == before
+    assert _journals(world) == [None, None]
+    assert emails.add(_email(10)) == next_id              # E006
+
+    # A successful write is kept.
+    assert world._guarded(write, lambda c: _touch_every_route(c) or "ok", ctx) == "ok"
+    assert _journals(world) == [None, None]
+    assert emails.get("E001")["read"] and emails.get("E003") is None
+    assert emails.get("E002")["recipients"] == ["user", "eve"]
+    assert emails.get("E004")["subject"] == "edited via find"
+    assert emails.get("E006")["cc"] == ["carol"] and emails.get("E007") is not None
+    kept = world.db_digest()
+
+    # Any other exception propagates and keeps its writes, as before.
+    def crashing(ctx):
+        ctx.store("emails").get("E001")["body"] = "crashed"
+        ctx.store("emails").add(_email(11))
+        raise RuntimeError("not a guard")
+
+    with pytest.raises(RuntimeError):
+        world._guarded(write, crashing, ctx)
+    assert _journals(world) == [None, None]
+    assert emails.get("E001")["body"] == "crashed" and emails.get("E008") is not None
+    assert world.db_digest() != kept
+
+
+def test_write_deep_copies_only_the_records_it_touches(monkeypatch):
+    """A write's cost grows with what it changes, not with the store: at 10k
+    records each call deep-copies at most one record for its rollback."""
+    world = make_world("EmailApp")
+    emails = world.db.store("EmailApp", "emails")
+    for i in range(10_000):
+        emails.add(_email(i))
+    originals = {id(rec) for rec in emails.records.values()}
+    copied = []
+    real = copy.deepcopy
+
+    def counting(x, memo=None, _nil=[]):
+        if memo is not None:             # recursion inside one deep copy
+            return real(x, memo)
+        memo = {}
+        out = real(x, memo)
+        copied[-1] += len(memo.keys() & originals)
+        return out
+
+    monkeypatch.setattr(phonesim.database.copy, "deepcopy", counting)
+    calls = [("EmailApp__move_email", {"email_id": "E042", "folder": "archive"}),
+             ("EmailApp__send_email", {"recipients": ["a@b.c"], "subject": "s", "body": "b"}),
+             ("EmailApp__move_email", {"email_id": "E043", "folder": "spam"})]
+    for qualified, args in calls:
+        copied.append(0)
+        try:
+            world.invoke_agent_tool(qualified, args, mode="execute")
+        except GuardFailed:
+            pass
+    assert copied == [1, 0, 1]
+    assert emails.get("E042")["folder"] == "archive"
+    assert emails.get("E043")["folder"] == "inbox"
+    assert len(emails) == 10_001
 
 
 def test_failure_injection_hits_assistant_calls_only():
