@@ -9,7 +9,6 @@ from . import (
     calendar_app,
     contacts,
     email,
-    filesystem,
     messaging,
     note,
     reminder,
@@ -26,10 +25,7 @@ BUILDERS = {
     "ShoppingApp": shopping.build,
     "MessagingApp": messaging.build,
     "ApartmentApp": apartment.build,
-    "FileSystemApp": filesystem.build,
 }
-
-DOMAIN_APPS = tuple(a for a in BUILDERS if a != "FileSystemApp")
 
 
 def build_app(app_id: str) -> AppStateMachine:

@@ -8,32 +8,9 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import paginate, render_records, require_record
+from .common import DEFAULT_PAGE, list_op, on_open, read_op, render_records, require_record
 
 LIST_FIELDS = ("name", "location", "rent", "bedrooms")
-
-
-def _save(db, apartment_id: str) -> str:
-    listing = db.store("ApartmentApp", "apartments").get(apartment_id)
-    if listing is None:
-        raise GuardFailed(f"no apartment with id {apartment_id!r}")
-    saved = db.store("ApartmentApp", "saved")
-    if saved.get(apartment_id) is not None:
-        return f"{apartment_id} is already saved"
-    saved.add(dict(listing), record_id=apartment_id)
-    return f"saved {apartment_id}"
-
-
-def _unsave(db, apartment_id: str) -> str:
-    if db.store("ApartmentApp", "saved").remove(apartment_id) is None:
-        raise GuardFailed(f"{apartment_id!r} is not in the saved list")
-    return f"removed {apartment_id} from saved"
-
-
-def list_apartments(ctx: ToolContext) -> str:
-    listings = paginate(ctx.store("apartments").all(),
-                        ctx.args.get("offset", 0), ctx.args.get("limit", 10))
-    return render_records(listings, LIST_FIELDS)
 
 
 def view_apartment(ctx: ToolContext) -> str:
@@ -57,43 +34,26 @@ def search(ctx: ToolContext) -> str:
     return render_records(hits, LIST_FIELDS)
 
 
-def list_saved(ctx: ToolContext) -> str:
-    return render_records(ctx.store("saved").all(), LIST_FIELDS)
+# -- flat API; the Detail screen saves and unsaves through on_open --------------
+
+list_saved = list_op("saved", LIST_FIELDS)
 
 
-def save(ctx: ToolContext) -> str:
-    apartment_id = ctx.session.get("open_id")
-    if not apartment_id:
-        raise GuardFailed("no open apartment")
-    return _save(ctx.db, apartment_id)
+def save_apartment(ctx: ToolContext) -> str:
+    apartment_id = ctx.args["apartment_id"]
+    listing = require_record(ctx.store("apartments"), apartment_id, "apartment")
+    saved = ctx.store("saved")
+    if saved.get(apartment_id) is not None:
+        return f"{apartment_id} is already saved"
+    saved.add(dict(listing), record_id=apartment_id)
+    return f"saved {apartment_id}"
 
 
-def unsave(ctx: ToolContext) -> str:
-    apartment_id = ctx.session.get("open_id")
-    if not apartment_id:
-        raise GuardFailed("no open apartment")
-    return _unsave(ctx.db, apartment_id)
-
-
-def api_list_apartments(ctx: ToolContext) -> str:
-    return render_records(ctx.store("apartments").all(), LIST_FIELDS)
-
-
-def api_get_apartment(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("apartments"), ctx.args["apartment_id"],
-                                     "apartment"), sort_keys=True)
-
-
-def api_list_saved(ctx: ToolContext) -> str:
-    return render_records(ctx.store("saved").all(), LIST_FIELDS)
-
-
-def api_save(ctx: ToolContext) -> str:
-    return _save(ctx.db, ctx.args["apartment_id"])
-
-
-def api_unsave(ctx: ToolContext) -> str:
-    return _unsave(ctx.db, ctx.args["apartment_id"])
+def unsave_apartment(ctx: ToolContext) -> str:
+    apartment_id = ctx.args["apartment_id"]
+    if ctx.store("saved").remove(apartment_id) is None:
+        raise GuardFailed(f"{apartment_id!r} is not in the saved list")
+    return f"removed {apartment_id} from saved"
 
 
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
@@ -105,7 +65,8 @@ def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("Home", ToolSpec("list_apartments", PAGING, read_only=True,
-                           description="List apartment listings."), list_apartments),
+                           description="List apartment listings."),
+          list_op("apartments", LIST_FIELDS, DEFAULT_PAGE)),
         t("Home", ToolSpec("view_apartment", (Param("apartment_id"),),
                            description="Open a listing."), view_apartment, ("Detail",)),
         t("Home", ToolSpec("open_search", (), description="Open the search screen."),
@@ -120,23 +81,26 @@ def build() -> AppStateMachine:
                             description="List saved apartments."), list_saved),
         t("Saved", ToolSpec("view_apartment", (Param("apartment_id"),),
                             description="Open a saved listing."), view_apartment, ("Detail",)),
-        t("Detail", ToolSpec("save", (), description="Save the open listing."), save),
+        t("Detail", ToolSpec("save", (), description="Save the open listing."),
+          on_open(save_apartment, "apartment_id")),
         t("Detail", ToolSpec("unsave", (), description="Remove the open listing from saved."),
-          unsave),
+          on_open(unsave_apartment, "apartment_id")),
     )
     api = (
         ApiTool(ToolSpec("list_apartments", (), read_only=True,
-                         description="List all listings."), api_list_apartments),
+                         description="List all listings."),
+                list_op("apartments", LIST_FIELDS)),
         ApiTool(ToolSpec("get_apartment", (Param("apartment_id"),), read_only=True,
-                         description="Read a listing."), api_get_apartment),
+                         description="Read a listing."),
+                read_op("apartments", "apartment_id", "apartment")),
         ApiTool(ToolSpec("search_apartments", SEARCH_PARAMS, read_only=True,
                          description="Filter listings."), search),
         ApiTool(ToolSpec("list_saved", (), read_only=True,
-                         description="List saved apartments."), api_list_saved),
+                         description="List saved apartments."), list_saved),
         ApiTool(ToolSpec("save_apartment", (Param("apartment_id"),),
-                         description="Save a listing."), api_save),
+                         description="Save a listing."), save_apartment),
         ApiTool(ToolSpec("unsave_apartment", (Param("apartment_id"),),
-                         description="Remove a listing from saved."), api_unsave),
+                         description="Remove a listing from saved."), unsave_apartment),
     )
     return AppStateMachine(
         app_id="ApartmentApp",

@@ -8,7 +8,7 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import render_records, require_record
+from .common import list_op, on_open, read_op, render_records, require_record
 
 SERVICE_TYPES = ("standard", "premium", "pool")
 RIDE_FIELDS = ("status", "pickup", "destination", "service", "price")
@@ -42,10 +42,6 @@ def _order_ride(db, clock, quote: dict) -> str:
 def _active_ride(store) -> dict | None:
     active = store.find(status="active")
     return active[0] if active else None
-
-
-def list_rides(ctx: ToolContext) -> str:
-    return render_records(ctx.store("rides").all(), RIDE_FIELDS)
 
 
 def open_current_ride(ctx: ToolContext) -> str:
@@ -89,23 +85,10 @@ def order_ride(ctx: ToolContext) -> str:
     return f"ride booked as {rid}"
 
 
-def refresh_ride(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("rides"), ctx.session.get("open_ride", ""),
-                                     "open ride"), sort_keys=True)
+# -- flat API; the Ride screen reads and cancels through on_open ----------------
 
-
-def cancel_ride(ctx: ToolContext) -> str:
-    ride = require_record(ctx.store("rides"), ctx.session.get("open_ride", ""), "open ride")
-    if ride["status"] != "active":
-        raise GuardFailed(f"ride {ride['id']} is not active")
-    ride["status"] = "cancelled"
-    ctx.session["open_ride"] = None
-    return f"ride {ride['id']} cancelled"
-
-
-def api_get_quotation(ctx: ToolContext) -> str:
-    return json.dumps(_make_quote(ctx.args["pickup"], ctx.args["destination"],
-                                  ctx.args.get("service", "standard")), sort_keys=True)
+list_rides = list_op("rides", RIDE_FIELDS)
+read_ride = read_op("rides", "ride_id", "ride")
 
 
 def api_order_ride(ctx: ToolContext) -> str:
@@ -114,16 +97,14 @@ def api_order_ride(ctx: ToolContext) -> str:
     return f"ride booked as {_order_ride(ctx.db, ctx.clock, quote)}"
 
 
-def api_cancel_ride(ctx: ToolContext) -> str:
+def cancel_ride(ctx: ToolContext) -> str:
     ride = require_record(ctx.store("rides"), ctx.args["ride_id"], "ride")
     if ride["status"] != "active":
         raise GuardFailed(f"ride {ride['id']} is not active")
     ride["status"] = "cancelled"
+    if ctx.session.get("open_ride") == ride["id"]:
+        ctx.session["open_ride"] = None
     return f"ride {ride['id']} cancelled"
-
-
-def api_ride_history(ctx: ToolContext) -> str:
-    return render_records(ctx.store("rides").all(), RIDE_FIELDS)
 
 
 def api_current_ride(ctx: ToolContext) -> str:
@@ -153,22 +134,23 @@ def build() -> AppStateMachine:
         t("Quote", ToolSpec("order_ride", (), description="Book the quoted ride."),
           order_ride, ("Ride",)),
         t("Ride", ToolSpec("refresh_ride", (), read_only=True,
-                           description="Re-read the open ride."), refresh_ride),
+                           description="Re-read the open ride."),
+          on_open(read_ride, "ride_id", key="open_ride")),
         t("Ride", ToolSpec("cancel_ride", (), description="Cancel the open ride."),
-          cancel_ride, ("Home",)),
+          on_open(cancel_ride, "ride_id", key="open_ride"), ("Home",)),
     )
     api = (
         ApiTool(ToolSpec("list_service_types", (), read_only=True,
                          description="List service types."), list_service_types),
         ApiTool(ToolSpec("get_quotation", ROUTE, read_only=True,
-                         description="Price a route."), api_get_quotation),
+                         description="Price a route."), get_quotation),
         ApiTool(ToolSpec("get_ride_history", (), read_only=True,
-                         description="List all rides."), api_ride_history),
+                         description="List all rides."), list_rides),
         ApiTool(ToolSpec("get_current_ride", (), read_only=True,
                          description="Read the active ride."), api_current_ride),
         ApiTool(ToolSpec("order_ride", ROUTE, description="Book a ride."), api_order_ride),
         ApiTool(ToolSpec("cancel_ride", (Param("ride_id"),),
-                         description="Cancel a ride."), api_cancel_ride),
+                         description="Cancel a ride."), cancel_ride),
     )
     return AppStateMachine(
         app_id="CabApp",

@@ -10,7 +10,9 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import by_index, paginate, render_records, require_record
+from .common import (
+    DEFAULT_PAGE, by_index, delete_op, list_op, on_open, read_op, render_records, require_record,
+)
 
 LIST_FIELDS = ("title", "start", "end", "tag")
 
@@ -41,12 +43,6 @@ def _draft(ctx: ToolContext) -> dict:
 
 
 # -- Agenda -------------------------------------------------------------------
-
-def list_events(ctx: ToolContext) -> str:
-    events = paginate(ctx.store("events").all(),
-                      ctx.args.get("offset", 0), ctx.args.get("limit", 10))
-    return render_records(events, LIST_FIELDS)
-
 
 def search_events(ctx: ToolContext) -> str:
     query = ctx.args["query"].lower()
@@ -93,10 +89,6 @@ def get_all_tags(ctx: ToolContext) -> str:
     return ", ".join(tags) or "(no tags)"
 
 
-def get_calendar_events_by_tag(ctx: ToolContext) -> str:
-    return filter_by_tag(ctx)
-
-
 def set_day(ctx: ToolContext) -> str:
     ctx.session["day"] = ctx.args["day"]
     return f"agenda day set to {ctx.args['day']}"
@@ -110,17 +102,6 @@ def start_create_event(ctx: ToolContext) -> str:
 
 
 # -- Detail -------------------------------------------------------------------
-
-def refresh_event(ctx: ToolContext) -> str:
-    return json.dumps(_open(ctx), sort_keys=True)
-
-
-def delete_event(ctx: ToolContext) -> str:
-    event = _open(ctx)
-    ctx.store("events").remove(event["id"])
-    ctx.session["open_id"] = None
-    return f"deleted {event['id']}"
-
 
 def delete_by_attendee(ctx: ToolContext) -> str:
     store = ctx.store("events")
@@ -220,23 +201,10 @@ def discard(ctx: ToolContext) -> str:
     return "edit discarded"
 
 
-# -- flat API -----------------------------------------------------------------
+# -- flat API; the Detail screen reads and deletes through on_open --------------
 
-def api_list_events(ctx: ToolContext) -> str:
-    return render_records(ctx.store("events").all(), LIST_FIELDS)
-
-
-def api_read_event(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("events"), ctx.args["event_id"], "event"),
-                      sort_keys=True)
-
-
-def api_read_today_events(ctx: ToolContext) -> str:
-    return read_today_calendar_events(ctx)
-
-
-def api_get_events_by_tag(ctx: ToolContext) -> str:
-    return filter_by_tag(ctx)
+read_event = read_op("events", "event_id", "event")
+delete_event = delete_op("events", "event_id", "event")
 
 
 def api_add_event(ctx: ToolContext) -> str:
@@ -246,12 +214,6 @@ def api_add_event(ctx: ToolContext) -> str:
     return f"event created as {rid}"
 
 
-def api_delete_event(ctx: ToolContext) -> str:
-    require_record(ctx.store("events"), ctx.args["event_id"], "event")
-    ctx.store("events").remove(ctx.args["event_id"])
-    return f"deleted {ctx.args['event_id']}"
-
-
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
@@ -259,7 +221,8 @@ def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("Agenda", ToolSpec("list_events", PAGING, read_only=True,
-                             description="List calendar events."), list_events),
+                             description="List calendar events."),
+          list_op("events", LIST_FIELDS, DEFAULT_PAGE)),
         t("Agenda", ToolSpec("search_events", (Param("query"),), read_only=True,
                              description="Search events by title or description."), search_events),
         t("Agenda", ToolSpec("open_event", (Param("event_id"),),
@@ -279,15 +242,17 @@ def build() -> AppStateMachine:
         t("Agenda", ToolSpec("get_all_tags", (), read_only=True,
                              description="List all tags in use."), get_all_tags),
         t("Agenda", ToolSpec("get_calendar_events_by_tag", (Param("tag"),), read_only=True,
-                             description="List events with a tag."), get_calendar_events_by_tag),
+                             description="List events with a tag."), filter_by_tag),
         t("Agenda", ToolSpec("set_day", (Param("day"),),
                              description="Set the agenda day."), set_day),
         t("Agenda", ToolSpec("start_create_event", (),
                              description="Start creating an event."), start_create_event, ("Edit",)),
         t("Detail", ToolSpec("refresh_event", (), read_only=True,
-                             description="Re-read the open event."), refresh_event),
+                             description="Re-read the open event."),
+          on_open(read_event, "event_id")),
         t("Detail", ToolSpec("delete_event", (),
-                             description="Delete the open event."), delete_event, ("Agenda",)),
+                             description="Delete the open event."),
+          on_open(delete_event, "event_id"), ("Agenda",)),
         t("Detail", ToolSpec("delete_by_attendee", (Param("attendee"),),
                              description="Delete all events with an attendee."),
           delete_by_attendee, ("Agenda",)),
@@ -316,13 +281,14 @@ def build() -> AppStateMachine:
     )
     api = (
         ApiTool(ToolSpec("list_events", (), read_only=True,
-                         description="List all calendar events."), api_list_events),
+                         description="List all calendar events."),
+                list_op("events", LIST_FIELDS)),
         ApiTool(ToolSpec("read_event", (Param("event_id"),), read_only=True,
-                         description="Read a full event."), api_read_event),
+                         description="Read a full event."), read_event),
         ApiTool(ToolSpec("read_today_events", (), read_only=True,
-                         description="List today's events."), api_read_today_events),
+                         description="List today's events."), read_today_calendar_events),
         ApiTool(ToolSpec("get_events_by_tag", (Param("tag"),), read_only=True,
-                         description="List events with a tag."), api_get_events_by_tag),
+                         description="List events with a tag."), filter_by_tag),
         ApiTool(ToolSpec("add_event",
                          (Param("title"), Param("start"), Param("end"),
                           Param("tag", required=False), Param("description", required=False),
@@ -330,7 +296,7 @@ def build() -> AppStateMachine:
                           Param("attendees", "list", required=False)),
                          description="Create a calendar event."), api_add_event),
         ApiTool(ToolSpec("delete_event", (Param("event_id"),),
-                         description="Delete a calendar event."), api_delete_event),
+                         description="Delete a calendar event."), delete_event),
     )
     return AppStateMachine(
         app_id="CalendarApp",

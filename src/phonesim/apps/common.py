@@ -1,9 +1,18 @@
-"""Helpers shared by the app simulators."""
+"""Helpers shared by the app simulators.
+
+A record operation is declared once, over an explicit id argument, and
+serves both surfaces: the flat API passes the id in its arguments, and a
+screen transition wraps the same operation in `on_open`, which binds the
+record the screen has open to that argument.
+"""
 
 from __future__ import annotations
 
+import json
+
 from ..database import Store
 from ..errors import GuardFailed
+from ..fsm import Handler, ToolContext
 
 DEFAULT_PAGE = 10
 
@@ -34,3 +43,57 @@ def by_index(records: list[dict], index: int, what: str) -> dict:
     if index < 0 or index >= len(records):
         raise GuardFailed(f"no {what} at index {index}")
     return records[index]
+
+
+# -- one operation, two surfaces -----------------------------------------------
+
+def on_open(op: Handler, id_arg: str, key: str = "open_id") -> Handler:
+    """Screen handler that runs `op` on the record the screen has open
+    (`session[key]`), passed as the argument `id_arg`.
+
+    The bound id goes into a new dict: the caller logs the arguments it
+    passed in, and action criteria match on them."""
+    def handler(ctx: ToolContext) -> str:
+        ctx.args = {**ctx.args, id_arg: ctx.session.get(key) or ""}
+        return op(ctx)
+    return handler
+
+
+def list_op(store: str, fields: tuple[str, ...], page: int | None = None) -> Handler:
+    """List a store's records; with `page`, `offset`/`limit` page them and
+    `page` is the default limit."""
+    def op(ctx: ToolContext) -> str:
+        records = ctx.store(store).all()
+        if page is not None:
+            records = paginate(records, ctx.args.get("offset", 0), ctx.args.get("limit", page))
+        return render_records(records, fields)
+    return op
+
+
+def read_op(store: str, id_arg: str, what: str) -> Handler:
+    def op(ctx: ToolContext) -> str:
+        return json.dumps(require_record(ctx.store(store), ctx.args[id_arg], what),
+                          sort_keys=True)
+    return op
+
+
+def delete_op(store: str, id_arg: str, what: str) -> Handler:
+    """Delete a record; a screen that had it open no longer has it open."""
+    def op(ctx: ToolContext) -> str:
+        rid = require_record(ctx.store(store), ctx.args[id_arg], what)["id"]
+        ctx.store(store).remove(rid)
+        if ctx.session.get("open_id") == rid:
+            ctx.session["open_id"] = None
+        return f"deleted {rid}"
+    return op
+
+
+def update_op(store: str, id_arg: str, fields: tuple[str, ...], what: str) -> Handler:
+    """Set each of `fields` that the call passes."""
+    def op(ctx: ToolContext) -> str:
+        rec = require_record(ctx.store(store), ctx.args[id_arg], what)
+        for name in fields:
+            if name in ctx.args:
+                rec[name] = ctx.args[name]
+        return f"{what} {rec['id']} updated"
+    return op

@@ -5,19 +5,15 @@ from __future__ import annotations
 import json
 
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import paginate, render_records, require_record
+from .common import (
+    DEFAULT_PAGE, delete_op, list_op, on_open, read_op, render_records, require_record, update_op,
+)
 
 LIST_FIELDS = ("name", "email", "phone")
 
 
 def _open(ctx: ToolContext) -> dict:
     return require_record(ctx.store("contacts"), ctx.session.get("open_id", ""), "open contact")
-
-
-def list_contacts(ctx: ToolContext) -> str:
-    contacts = paginate(ctx.store("contacts").all(),
-                        ctx.args.get("offset", 0), ctx.args.get("limit", 10))
-    return render_records(contacts, LIST_FIELDS)
 
 
 def search_contacts(ctx: ToolContext) -> str:
@@ -46,50 +42,16 @@ def create_contact(ctx: ToolContext) -> str:
     return f"contact created as {rid}"
 
 
-def view_contact(ctx: ToolContext) -> str:
-    return json.dumps(_open(ctx), sort_keys=True)
-
-
 def start_edit_contact(ctx: ToolContext) -> str:
     return f"editing {_open(ctx)['id']}"
 
 
-def delete_contact(ctx: ToolContext) -> str:
-    contact = _open(ctx)
-    ctx.store("contacts").remove(contact["id"])
-    ctx.session["open_id"] = None
-    return f"deleted {contact['id']}"
+# -- flat API; the Detail and Edit screens act through on_open -----------------
 
-
-def update_contact(ctx: ToolContext) -> str:
-    contact = _open(ctx)
-    for field in ("name", "email", "phone", "notes"):
-        if field in ctx.args:
-            contact[field] = ctx.args[field]
-    return f"contact {contact['id']} updated"
-
-
-def api_get_contact(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("contacts"), ctx.args["contact_id"], "contact"),
-                      sort_keys=True)
-
-
-def api_list_contacts(ctx: ToolContext) -> str:
-    return render_records(ctx.store("contacts").all(), LIST_FIELDS)
-
-
-def api_update_contact(ctx: ToolContext) -> str:
-    contact = require_record(ctx.store("contacts"), ctx.args["contact_id"], "contact")
-    for field in ("name", "email", "phone", "notes"):
-        if field in ctx.args:
-            contact[field] = ctx.args[field]
-    return f"contact {contact['id']} updated"
-
-
-def api_delete_contact(ctx: ToolContext) -> str:
-    require_record(ctx.store("contacts"), ctx.args["contact_id"], "contact")
-    ctx.store("contacts").remove(ctx.args["contact_id"])
-    return f"deleted {ctx.args['contact_id']}"
+get_contact = read_op("contacts", "contact_id", "contact")
+update_contact = update_op("contacts", "contact_id", ("name", "email", "phone", "notes"), "contact")
+delete_contact = delete_op("contacts", "contact_id", "contact")
+view_contact = on_open(get_contact, "contact_id")
 
 
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
@@ -102,7 +64,8 @@ def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("List", ToolSpec("list_contacts", PAGING, read_only=True,
-                           description="List contacts."), list_contacts),
+                           description="List contacts."),
+          list_op("contacts", LIST_FIELDS, DEFAULT_PAGE)),
         t("List", ToolSpec("search_contacts", (Param("query"),), read_only=True,
                            description="Search contacts by name."), search_contacts),
         t("List", ToolSpec("open_contact", (Param("contact_id"),),
@@ -116,26 +79,27 @@ def build() -> AppStateMachine:
         t("Detail", ToolSpec("start_edit_contact", (),
                              description="Edit the open contact."), start_edit_contact, ("Edit",)),
         t("Detail", ToolSpec("delete_contact", (),
-                             description="Delete the open contact."), delete_contact, ("List",)),
+                             description="Delete the open contact."),
+          on_open(delete_contact, "contact_id"), ("List",)),
         t("Edit", ToolSpec("view_contact", (), read_only=True,
                            description="Show the contact being edited."), view_contact),
         t("Edit", ToolSpec("update_contact", EDIT_FIELDS,
                            description="Apply edits and return to the detail view."),
-          update_contact, ("Detail",)),
+          on_open(update_contact, "contact_id"), ("Detail",)),
     )
     api = (
         ApiTool(ToolSpec("list_contacts", (), read_only=True,
-                         description="List all contacts."), api_list_contacts),
+                         description="List all contacts."), list_op("contacts", LIST_FIELDS)),
         ApiTool(ToolSpec("get_contact", (Param("contact_id"),), read_only=True,
-                         description="Read a contact."), api_get_contact),
+                         description="Read a contact."), get_contact),
         ApiTool(ToolSpec("search_contacts", (Param("query"),), read_only=True,
                          description="Search contacts by name."), search_contacts),
         ApiTool(ToolSpec("create_contact", CONTACT_FIELDS,
                          description="Create a contact."), create_contact),
         ApiTool(ToolSpec("update_contact", (Param("contact_id"),) + EDIT_FIELDS,
-                         description="Update a contact."), api_update_contact),
+                         description="Update a contact."), update_contact),
         ApiTool(ToolSpec("delete_contact", (Param("contact_id"),),
-                         description="Delete a contact."), api_delete_contact),
+                         description="Delete a contact."), delete_contact),
     )
     return AppStateMachine(
         app_id="ContactsApp",

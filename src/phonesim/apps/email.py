@@ -11,7 +11,7 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import by_index, paginate, render_records, require_record
+from .common import by_index, delete_op, on_open, paginate, read_op, render_records, require_record
 
 FOLDERS = ("inbox", "sent", "drafts", "archive", "trash")
 LIST_FIELDS = ("folder", "sender", "subject")
@@ -109,10 +109,6 @@ def start_compose(ctx: ToolContext) -> str:
 
 # -- Detail -------------------------------------------------------------------
 
-def refresh_email(ctx: ToolContext) -> str:
-    return _render_email(_open_email(ctx))
-
-
 def reply(ctx: ToolContext) -> str:
     email = _open_email(ctx)
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
@@ -126,22 +122,6 @@ def forward(ctx: ToolContext) -> str:
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
                 ctx.args["recipients"], "Fwd: " + email["subject"], body)
     return f"forwarded as {rid}"
-
-
-def move_email(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
-    folder = ctx.args["folder"]
-    if folder not in FOLDERS:
-        raise GuardFailed(f"unknown folder {folder!r}")
-    email["folder"] = folder
-    return f"moved {email['id']} to {folder}"
-
-
-def delete_email(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
-    ctx.store("emails").remove(email["id"])
-    ctx.session["open_id"] = None
-    return f"deleted {email['id']}"
 
 
 def download_attachments(ctx: ToolContext) -> str:
@@ -246,10 +226,6 @@ def api_list_emails(ctx: ToolContext) -> str:
     return f"folder={folder}\n" + render_records(emails, LIST_FIELDS)
 
 
-def api_read_email(ctx: ToolContext) -> str:
-    return _render_email(require_record(ctx.store("emails"), ctx.args["email_id"], "email"))
-
-
 def api_send_email(ctx: ToolContext) -> str:
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
                 ctx.args["recipients"], ctx.args["subject"], ctx.args["body"],
@@ -263,19 +239,19 @@ def api_deliver_email(ctx: ToolContext) -> str:
     return f"email delivered as {rid}"
 
 
-def api_move_email(ctx: ToolContext) -> str:
+# -- shared with the Detail screen through on_open ----------------------------
+
+read_email = read_op("emails", "email_id", "email")
+delete_email = delete_op("emails", "email_id", "email")
+
+
+def move_email(ctx: ToolContext) -> str:
     email = require_record(ctx.store("emails"), ctx.args["email_id"], "email")
     folder = ctx.args["folder"]
     if folder not in FOLDERS:
         raise GuardFailed(f"unknown folder {folder!r}")
     email["folder"] = folder
     return f"moved {email['id']} to {folder}"
-
-
-def api_delete_email(ctx: ToolContext) -> str:
-    require_record(ctx.store("emails"), ctx.args["email_id"], "email")
-    ctx.store("emails").remove(ctx.args["email_id"])
-    return f"deleted {ctx.args['email_id']}"
 
 
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
@@ -298,15 +274,18 @@ def build() -> AppStateMachine:
         t("Mailbox", ToolSpec("start_compose", (),
                               description="Start composing a new email."), start_compose, ("Compose",)),
         t("Detail", ToolSpec("refresh_email", (), read_only=True,
-                             description="Re-read the open email."), refresh_email),
+                             description="Re-read the open email."),
+          on_open(read_email, "email_id")),
         t("Detail", ToolSpec("reply", (Param("body"),),
                              description="Send a quick reply to the open email."), reply),
         t("Detail", ToolSpec("forward", (Param("recipients", "list"), Param("body", required=False)),
                              description="Forward the open email."), forward),
         t("Detail", ToolSpec("move_email", (Param("folder"),),
-                             description="Move the open email to another folder."), move_email),
+                             description="Move the open email to another folder."),
+          on_open(move_email, "email_id")),
         t("Detail", ToolSpec("delete_email", (),
-                             description="Delete the open email."), delete_email, ("Mailbox",)),
+                             description="Delete the open email."),
+          on_open(delete_email, "email_id"), ("Mailbox",)),
         t("Detail", ToolSpec("download_attachments", (), read_only=True,
                              description="List the open email's attachments."), download_attachments),
         t("Detail", ToolSpec("start_compose_reply", (),
@@ -338,7 +317,7 @@ def build() -> AppStateMachine:
         ApiTool(ToolSpec("search_emails", (Param("query"),), read_only=True,
                          description="Search emails by subject or body."), search_emails),
         ApiTool(ToolSpec("read_email", (Param("email_id"),), read_only=True,
-                         description="Read a full email."), api_read_email),
+                         description="Read a full email."), read_email),
         ApiTool(ToolSpec("send_email", (Param("recipients", "list"), Param("subject"),
                                         Param("body"), Param("cc", "list", required=False)),
                          description="Send an email on the user's behalf."), api_send_email),
@@ -347,9 +326,9 @@ def build() -> AppStateMachine:
                          description="Deposit an incoming email into a folder.",
                          environment_only=True), api_deliver_email),
         ApiTool(ToolSpec("move_email", (Param("email_id"), Param("folder")),
-                         description="Move an email to another folder."), api_move_email),
+                         description="Move an email to another folder."), move_email),
         ApiTool(ToolSpec("delete_email", (Param("email_id"),),
-                         description="Delete an email."), api_delete_email),
+                         description="Delete an email."), delete_email),
     )
     return AppStateMachine(
         app_id="EmailApp",

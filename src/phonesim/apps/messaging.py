@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import paginate, render_records, require_record
+from .common import (
+    DEFAULT_PAGE, list_op, on_open, paginate, read_op, render_records, require_record,
+)
 
 LIST_FIELDS = ("title", "participants")
 
@@ -19,12 +19,6 @@ def _append_message(store, conversation_id: str, sender: str, content: str, time
 def _opened(ctx: ToolContext) -> dict:
     return require_record(ctx.store("conversations"), ctx.session.get("open_id", ""),
                           "open conversation")
-
-
-def list_recent_conversations(ctx: ToolContext) -> str:
-    convs = paginate(ctx.store("conversations").all(),
-                     ctx.args.get("offset", 0), ctx.args.get("limit", 10))
-    return render_records(convs, LIST_FIELDS)
 
 
 def search_conversations(ctx: ToolContext) -> str:
@@ -44,31 +38,15 @@ def open_conversation(ctx: ToolContext) -> str:
     return "\n".join(lines)
 
 
-def send_message(ctx: ToolContext) -> str:
-    conv = _opened(ctx)
-    _append_message(ctx.store("conversations"), conv["id"], ctx.current_user,
-                    ctx.args["message"], ctx.clock.render())
-    return f"message sent in {conv['id']}"
-
-
 def read_messages(ctx: ToolContext) -> str:
     conv = _opened(ctx)
     msgs = paginate(conv["messages"], ctx.args.get("offset", 0), ctx.args.get("limit", 10))
     return "\n".join(f"{m['timestamp']} {m['sender']}: {m['content']}" for m in msgs) or "(no messages)"
 
 
-# -- flat API -----------------------------------------------------------------
+# -- flat API; the Opened screen sends through on_open --------------------------
 
-def api_list_conversations(ctx: ToolContext) -> str:
-    return render_records(ctx.store("conversations").all(), LIST_FIELDS)
-
-
-def api_read_messages(ctx: ToolContext) -> str:
-    conv = require_record(ctx.store("conversations"), ctx.args["conversation_id"], "conversation")
-    return json.dumps(conv, sort_keys=True)
-
-
-def api_send_message(ctx: ToolContext) -> str:
+def send_message(ctx: ToolContext) -> str:
     _append_message(ctx.store("conversations"), ctx.args["conversation_id"],
                     ctx.current_user, ctx.args["message"], ctx.clock.render())
     return f"message sent in {ctx.args['conversation_id']}"
@@ -98,7 +76,8 @@ def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("List", ToolSpec("list_recent_conversations", PAGING, read_only=True,
-                           description="List recent conversations."), list_recent_conversations),
+                           description="List recent conversations."),
+          list_op("conversations", LIST_FIELDS, DEFAULT_PAGE)),
         t("List", ToolSpec("search_conversations", (Param("query"),), read_only=True,
                            description="Search conversations by title or participant."),
           search_conversations),
@@ -106,18 +85,20 @@ def build() -> AppStateMachine:
                            description="Open a conversation."), open_conversation, ("Opened",)),
         t("Opened", ToolSpec("send_message",
                              (Param("message"), Param("attachments", "list", required=False)),
-                             description="Send a message in the open conversation."), send_message),
+                             description="Send a message in the open conversation."),
+          on_open(send_message, "conversation_id")),
         t("Opened", ToolSpec("read_messages", PAGING, read_only=True,
                              description="Read messages of the open conversation."), read_messages),
     )
     api = (
         ApiTool(ToolSpec("list_conversations", (), read_only=True,
-                         description="List all conversations."), api_list_conversations),
+                         description="List all conversations."),
+                list_op("conversations", LIST_FIELDS)),
         ApiTool(ToolSpec("read_messages", (Param("conversation_id"),), read_only=True,
                          description="Read a conversation's full message history."),
-                api_read_messages),
+                read_op("conversations", "conversation_id", "conversation")),
         ApiTool(ToolSpec("send_message", (Param("conversation_id"), Param("message")),
-                         description="Send a message on the user's behalf."), api_send_message),
+                         description="Send a message on the user's behalf."), send_message),
         ApiTool(ToolSpec("receive_message",
                          (Param("sender"), Param("message"),
                           Param("conversation_id", required=False)),

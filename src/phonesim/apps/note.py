@@ -7,7 +7,9 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import paginate, render_records, require_record
+from .common import (
+    delete_op, list_op, on_open, paginate, read_op, render_records, require_record, update_op,
+)
 
 LIST_FIELDS = ("title", "folder")
 DEFAULT_FOLDER = "Notes"
@@ -68,10 +70,6 @@ def open_folder(ctx: ToolContext) -> str:
     return f"opened folder {ctx.args['folder']}"
 
 
-def refresh_note(ctx: ToolContext) -> str:
-    return json.dumps(_open(ctx), sort_keys=True)
-
-
 def list_attachments(ctx: ToolContext) -> str:
     return ", ".join(_open(ctx)["attachments"]) or "(no attachments)"
 
@@ -87,13 +85,6 @@ def remove_attachment(ctx: ToolContext) -> str:
         raise GuardFailed(f"no attachment {ctx.args['filename']!r}")
     note["attachments"].remove(ctx.args["filename"])
     return "attachment removed"
-
-
-def delete_note(ctx: ToolContext) -> str:
-    note = _open(ctx)
-    ctx.store("notes").remove(note["id"])
-    ctx.session["open_id"] = None
-    return f"deleted {note['id']}"
 
 
 def edit_note(ctx: ToolContext) -> str:
@@ -145,33 +136,16 @@ def update_note(ctx: ToolContext) -> str:
     return f"note {rid} saved"
 
 
-def api_list_notes(ctx: ToolContext) -> str:
-    return render_records(ctx.store("notes").all(), LIST_FIELDS)
+# -- flat API; the Detail screen reads and deletes through on_open --------------
 
-
-def api_read_note(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("notes"), ctx.args["note_id"], "note"),
-                      sort_keys=True)
+read_note = read_op("notes", "note_id", "note")
+delete_note = delete_op("notes", "note_id", "note")
 
 
 def api_create_note(ctx: ToolContext) -> str:
     rid = _create_note(ctx.store("notes"), ctx.args["title"], ctx.args["content"],
                        ctx.args.get("folder", DEFAULT_FOLDER))
     return f"note created as {rid}"
-
-
-def api_update_note(ctx: ToolContext) -> str:
-    note = require_record(ctx.store("notes"), ctx.args["note_id"], "note")
-    for field in ("title", "content", "folder"):
-        if field in ctx.args:
-            note[field] = ctx.args[field]
-    return f"note {note['id']} updated"
-
-
-def api_delete_note(ctx: ToolContext) -> str:
-    require_record(ctx.store("notes"), ctx.args["note_id"], "note")
-    ctx.store("notes").remove(ctx.args["note_id"])
-    return f"deleted {ctx.args['note_id']}"
 
 
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
@@ -192,7 +166,8 @@ def build() -> AppStateMachine:
         t("Folders", ToolSpec("open_folder", (Param("folder"),),
                               description="Open a folder."), open_folder, ("List",)),
         t("Detail", ToolSpec("refresh_note", (), read_only=True,
-                             description="Re-read the open note."), refresh_note),
+                             description="Re-read the open note."),
+          on_open(read_note, "note_id")),
         t("Detail", ToolSpec("list_attachments", (), read_only=True,
                              description="List attachments."), list_attachments),
         t("Detail", ToolSpec("add_attachment", (Param("filename"),),
@@ -200,7 +175,7 @@ def build() -> AppStateMachine:
         t("Detail", ToolSpec("remove_attachment", (Param("filename"),),
                              description="Remove an attachment."), remove_attachment),
         t("Detail", ToolSpec("delete_note", (), description="Delete the open note."),
-          delete_note, ("List",)),
+          on_open(delete_note, "note_id"), ("List",)),
         t("Detail", ToolSpec("edit_note", (), description="Edit the open note."),
           edit_note, ("Edit",)),
         t("Detail", ToolSpec("duplicate_note", (), description="Duplicate the open note."),
@@ -215,9 +190,9 @@ def build() -> AppStateMachine:
     )
     api = (
         ApiTool(ToolSpec("list_notes", (), read_only=True,
-                         description="List all notes."), api_list_notes),
+                         description="List all notes."), list_op("notes", LIST_FIELDS)),
         ApiTool(ToolSpec("read_note", (Param("note_id"),), read_only=True,
-                         description="Read a note."), api_read_note),
+                         description="Read a note."), read_note),
         ApiTool(ToolSpec("list_folders", (), read_only=True,
                          description="List folders."), list_folders),
         ApiTool(ToolSpec("create_note",
@@ -226,9 +201,10 @@ def build() -> AppStateMachine:
         ApiTool(ToolSpec("update_note",
                          (Param("note_id"), Param("title", required=False),
                           Param("content", required=False), Param("folder", required=False)),
-                         description="Update a note."), api_update_note),
+                         description="Update a note."),
+                update_op("notes", "note_id", ("title", "content", "folder"), "note")),
         ApiTool(ToolSpec("delete_note", (Param("note_id"),),
-                         description="Delete a note."), api_delete_note),
+                         description="Delete a note."), delete_note),
     )
     return AppStateMachine(
         app_id="NoteApp",

@@ -7,7 +7,7 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import render_records, require_record
+from .common import delete_op, list_op, on_open, render_records, require_record, update_op
 
 LIST_FIELDS = ("title", "due", "repetition")
 
@@ -27,8 +27,10 @@ def _draft(ctx: ToolContext) -> dict:
     return draft
 
 
-def list_all_reminders(ctx: ToolContext) -> str:
-    return render_records(ctx.store("reminders").all(), LIST_FIELDS)
+list_reminders = list_op("reminders", LIST_FIELDS)
+delete_reminder = delete_op("reminders", "reminder_id", "reminder")
+update_reminder = update_op("reminders", "reminder_id",
+                            ("title", "description", "due", "repetition"), "reminder")
 
 
 def list_upcoming_reminders(ctx: ToolContext) -> str:
@@ -60,13 +62,6 @@ def edit(ctx: ToolContext) -> str:
     ctx.session["draft"] = {k: reminder[k] for k in _fresh_draft()}
     ctx.session["editing_id"] = reminder["id"]
     return f"editing {reminder['id']}"
-
-
-def delete(ctx: ToolContext) -> str:
-    reminder = _open(ctx)
-    ctx.store("reminders").remove(reminder["id"])
-    ctx.session["open_id"] = None
-    return f"deleted {reminder['id']}"
 
 
 def set_title(ctx: ToolContext) -> str:
@@ -116,10 +111,6 @@ def cancel(ctx: ToolContext) -> str:
     return "edit cancelled"
 
 
-def api_list_reminders(ctx: ToolContext) -> str:
-    return render_records(ctx.store("reminders").all(), LIST_FIELDS)
-
-
 def api_create_reminder(ctx: ToolContext) -> str:
     rid = ctx.store("reminders").add({
         "title": ctx.args["title"],
@@ -130,25 +121,11 @@ def api_create_reminder(ctx: ToolContext) -> str:
     return f"reminder created as {rid}"
 
 
-def api_update_reminder(ctx: ToolContext) -> str:
-    reminder = require_record(ctx.store("reminders"), ctx.args["reminder_id"], "reminder")
-    for field in ("title", "description", "due", "repetition"):
-        if field in ctx.args:
-            reminder[field] = ctx.args[field]
-    return f"reminder {reminder['id']} updated"
-
-
-def api_delete_reminder(ctx: ToolContext) -> str:
-    require_record(ctx.store("reminders"), ctx.args["reminder_id"], "reminder")
-    ctx.store("reminders").remove(ctx.args["reminder_id"])
-    return f"deleted {ctx.args['reminder_id']}"
-
-
 def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("List", ToolSpec("list_all_reminders", (), read_only=True,
-                           description="List every reminder."), list_all_reminders),
+                           description="List every reminder."), list_reminders),
         t("List", ToolSpec("list_upcoming_reminders", (), read_only=True,
                            description="List reminders due later."), list_upcoming_reminders),
         t("List", ToolSpec("list_due_reminders", (), read_only=True,
@@ -159,7 +136,7 @@ def build() -> AppStateMachine:
                            description="Start creating a reminder."), create_new, ("Edit",)),
         t("Detail", ToolSpec("edit", (), description="Edit the open reminder."), edit, ("Edit",)),
         t("Detail", ToolSpec("delete", (), description="Delete the open reminder."),
-          delete, ("List",)),
+          on_open(delete_reminder, "reminder_id"), ("List",)),
         t("Edit", ToolSpec("set_title", (Param("title"),), description="Set the title."), set_title),
         t("Edit", ToolSpec("set_description", (Param("description"),),
                            description="Set the description."), set_description),
@@ -172,7 +149,7 @@ def build() -> AppStateMachine:
     )
     api = (
         ApiTool(ToolSpec("list_reminders", (), read_only=True,
-                         description="List all reminders."), api_list_reminders),
+                         description="List all reminders."), list_reminders),
         ApiTool(ToolSpec("create_reminder",
                          (Param("title"), Param("due", required=False),
                           Param("description", required=False),
@@ -182,9 +159,9 @@ def build() -> AppStateMachine:
                          (Param("reminder_id"), Param("title", required=False),
                           Param("due", required=False), Param("description", required=False),
                           Param("repetition", required=False)),
-                         description="Update a reminder."), api_update_reminder),
+                         description="Update a reminder."), update_reminder),
         ApiTool(ToolSpec("delete_reminder", (Param("reminder_id"),),
-                         description="Delete a reminder."), api_delete_reminder),
+                         description="Delete a reminder."), delete_reminder),
     )
     return AppStateMachine(
         app_id="ReminderApp",

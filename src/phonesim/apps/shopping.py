@@ -1,8 +1,8 @@
 """Shopping app: six screens from browsing through checkout.
 
 Prices are integer cents. Checkout turns the cart into an order record and
-clears the cart; the same helper backs the user path and the flat API so both
-routes write identical records.
+clears the cart. The user path and the flat API run the same operations, so
+both routes write identical records.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import paginate, render_records, require_record
+from .common import DEFAULT_PAGE, list_op, on_open, read_op, render_records, require_record
 
 PRODUCT_FIELDS = ("name", "price")
 
@@ -24,47 +24,7 @@ def _find_variant(products: list[dict], variant_id: str) -> tuple[dict, dict] | 
     return None
 
 
-def _add_to_cart(db, variant_id: str, quantity: int) -> str:
-    products = db.store("ShoppingApp", "products").all()
-    hit = _find_variant(products, variant_id)
-    if hit is None:
-        raise GuardFailed(f"no variant with id {variant_id!r}")
-    product, variant = hit
-    cart = db.store("ShoppingApp", "cart")
-    return cart.add({
-        "variant_id": variant_id,
-        "product_id": product["id"],
-        "name": f"{product['name']} ({variant['name']})",
-        "price": variant["price"],
-        "quantity": quantity,
-    })
-
-
-def _checkout(db, clock) -> str:
-    cart = db.store("ShoppingApp", "cart")
-    items = cart.all()
-    if not items:
-        raise GuardFailed("cart is empty")
-    total = sum(item["price"] * item["quantity"] for item in items)
-    order_id = db.store("ShoppingApp", "orders").add({
-        "items": [{k: item[k] for k in ("variant_id", "name", "price", "quantity")}
-                  for item in items],
-        "total": total,
-        "timestamp": clock.render(),
-        "status": "placed",
-    })
-    for item in items:
-        cart.remove(item["id"])
-    return order_id
-
-
 # -- screens ------------------------------------------------------------------
-
-def list_products(ctx: ToolContext) -> str:
-    products = paginate(ctx.store("products").all(),
-                        ctx.args.get("offset", 0), ctx.args.get("limit", 10))
-    return render_records(products, PRODUCT_FIELDS)
-
 
 def view_product(ctx: ToolContext) -> str:
     product = require_record(ctx.store("products"), ctx.args["product_id"], "product")
@@ -76,10 +36,6 @@ def view_cart(ctx: ToolContext) -> str:
     items = ctx.store("cart").all()
     total = sum(i["price"] * i["quantity"] for i in items)
     return render_records(items, ("name", "price", "quantity")) + f"\ntotal={total}"
-
-
-def list_orders(ctx: ToolContext) -> str:
-    return render_records(ctx.store("orders").all(), ("total", "status", "timestamp"))
 
 
 def view_variant(ctx: ToolContext) -> str:
@@ -100,14 +56,6 @@ def refresh_variant(ctx: ToolContext) -> str:
     return json.dumps(hit[1], sort_keys=True)
 
 
-def add_to_cart(ctx: ToolContext) -> str:
-    variant_id = ctx.session.get("open_variant")
-    if not variant_id:
-        raise GuardFailed("no open variant")
-    item_id = _add_to_cart(ctx.db, variant_id, ctx.args.get("quantity", 1))
-    return f"added to cart as {item_id}"
-
-
 def remove_item(ctx: ToolContext) -> str:
     cart = ctx.store("cart")
     item = require_record(cart, ctx.args["item_id"], "cart item")
@@ -120,7 +68,20 @@ def remove_item(ctx: ToolContext) -> str:
 
 
 def checkout(ctx: ToolContext) -> str:
-    order_id = _checkout(ctx.db, ctx.clock)
+    cart = ctx.store("cart")
+    items = cart.all()
+    if not items:
+        raise GuardFailed("cart is empty")
+    total = sum(item["price"] * item["quantity"] for item in items)
+    order_id = ctx.store("orders").add({
+        "items": [{k: item[k] for k in ("variant_id", "name", "price", "quantity")}
+                  for item in items],
+        "total": total,
+        "timestamp": ctx.clock.render(),
+        "status": "placed",
+    })
+    for item in items:
+        cart.remove(item["id"])
     ctx.session["open_order"] = order_id
     return f"order placed as {order_id}"
 
@@ -131,49 +92,26 @@ def view_order_from_list(ctx: ToolContext) -> str:
     return json.dumps(order, sort_keys=True)
 
 
-def view_order_detail(ctx: ToolContext) -> str:
-    order = require_record(ctx.store("orders"), ctx.session.get("open_order", ""), "open order")
-    return json.dumps(order, sort_keys=True)
+# -- flat API; the Variant and OrderDetail screens act through on_open ----------
+
+list_orders = list_op("orders", ("total", "status", "timestamp"))
+get_order = read_op("orders", "order_id", "order")
 
 
-# -- flat API -----------------------------------------------------------------
-
-def api_list_products(ctx: ToolContext) -> str:
-    return render_records(ctx.store("products").all(), PRODUCT_FIELDS)
-
-
-def api_get_product(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("products"), ctx.args["product_id"], "product"),
-                      sort_keys=True)
-
-
-def api_view_cart(ctx: ToolContext) -> str:
-    return view_cart(ctx)
-
-
-def api_list_orders(ctx: ToolContext) -> str:
-    return list_orders(ctx)
-
-
-def api_get_order(ctx: ToolContext) -> str:
-    return json.dumps(require_record(ctx.store("orders"), ctx.args["order_id"], "order"),
-                      sort_keys=True)
-
-
-def api_add_to_cart(ctx: ToolContext) -> str:
-    item_id = _add_to_cart(ctx.db, ctx.args["variant_id"], ctx.args.get("quantity", 1))
+def add_to_cart(ctx: ToolContext) -> str:
+    variant_id = ctx.args["variant_id"]
+    hit = _find_variant(ctx.store("products").all(), variant_id)
+    if hit is None:
+        raise GuardFailed(f"no variant with id {variant_id!r}")
+    product, variant = hit
+    item_id = ctx.store("cart").add({
+        "variant_id": variant_id,
+        "product_id": product["id"],
+        "name": f"{product['name']} ({variant['name']})",
+        "price": variant["price"],
+        "quantity": ctx.args.get("quantity", 1),
+    })
     return f"added to cart as {item_id}"
-
-
-def api_checkout(ctx: ToolContext) -> str:
-    return f"order placed as {_checkout(ctx.db, ctx.clock)}"
-
-
-def api_remove_from_cart(ctx: ToolContext) -> str:
-    cart = ctx.store("cart")
-    require_record(cart, ctx.args["item_id"], "cart item")
-    cart.remove(ctx.args["item_id"])
-    return f"removed {ctx.args['item_id']} from cart"
 
 
 PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
@@ -183,7 +121,8 @@ def build() -> AppStateMachine:
     t = Transition
     transitions = (
         t("Home", ToolSpec("list_products", PAGING, read_only=True,
-                           description="Browse the product catalog."), list_products),
+                           description="Browse the product catalog."),
+          list_op("products", PRODUCT_FIELDS, DEFAULT_PAGE)),
         t("Home", ToolSpec("view_product", (Param("product_id"),),
                            description="Open a product page."), view_product, ("Product",)),
         t("Home", ToolSpec("view_cart", (), read_only=True,
@@ -196,7 +135,7 @@ def build() -> AppStateMachine:
                               description="Re-read the open variant."), refresh_variant),
         t("Variant", ToolSpec("add_to_cart", (Param("quantity", "int", required=False),),
                               description="Add the open variant to the cart."),
-          add_to_cart, ("Cart",)),
+          on_open(add_to_cart, "variant_id", key="open_variant"), ("Cart",)),
         t("Cart", ToolSpec("remove_item",
                            (Param("item_id"), Param("quantity", "int", required=False)),
                            description="Remove an item or reduce its quantity."), remove_item),
@@ -205,26 +144,28 @@ def build() -> AppStateMachine:
         t("Orders", ToolSpec("view_order", (Param("order_id"),),
                              description="Open an order."), view_order_from_list, ("OrderDetail",)),
         t("OrderDetail", ToolSpec("view_order", (), read_only=True,
-                                  description="Re-read the open order."), view_order_detail),
+                                  description="Re-read the open order."),
+          on_open(get_order, "order_id", key="open_order")),
     )
     api = (
         ApiTool(ToolSpec("list_products", (), read_only=True,
-                         description="List all products."), api_list_products),
+                         description="List all products."),
+                list_op("products", PRODUCT_FIELDS)),
         ApiTool(ToolSpec("get_product", (Param("product_id"),), read_only=True,
-                         description="Read a product with its variants."), api_get_product),
+                         description="Read a product with its variants."),
+                read_op("products", "product_id", "product")),
         ApiTool(ToolSpec("view_cart", (), read_only=True,
-                         description="Read the cart contents."), api_view_cart),
+                         description="Read the cart contents."), view_cart),
         ApiTool(ToolSpec("list_orders", (), read_only=True,
-                         description="List orders."), api_list_orders),
+                         description="List orders."), list_orders),
         ApiTool(ToolSpec("get_order", (Param("order_id"),), read_only=True,
-                         description="Read an order."), api_get_order),
+                         description="Read an order."), get_order),
         ApiTool(ToolSpec("add_to_cart",
                          (Param("variant_id"), Param("quantity", "int", required=False)),
-                         description="Add a variant to the cart."), api_add_to_cart),
-        ApiTool(ToolSpec("checkout", (), description="Place an order from the cart."),
-                api_checkout),
+                         description="Add a variant to the cart."), add_to_cart),
+        ApiTool(ToolSpec("checkout", (), description="Place an order from the cart."), checkout),
         ApiTool(ToolSpec("remove_from_cart", (Param("item_id"),),
-                         description="Remove a cart item."), api_remove_from_cart),
+                         description="Remove a cart item."), remove_item),
     )
     return AppStateMachine(
         app_id="ShoppingApp",

@@ -4,6 +4,10 @@ Each app is a set of named screens. A screen exposes exactly the tools of its
 outgoing transitions; the assistant-facing flat API is state-independent.
 Handlers receive a ToolContext and return observation text; they may pick one
 of the transition's declared target states via ctx.go().
+
+An app declares each record operation once, over an explicit id argument, and
+both surfaces run it: an API call passes the id, and a screen transition binds
+the record the screen has open to it (`apps.common.on_open`).
 """
 
 from __future__ import annotations

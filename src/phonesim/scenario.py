@@ -4,7 +4,8 @@ A scenario is a YAML document. Validation criteria are machine-checkable
 predicates over the final database and the action log, grouped into goals;
 an episode succeeds when every goal holds. Loading performs field-level
 checks and verifies statically that every event payload names a tool that
-actually exists on a declared app.
+actually exists on a declared app, and that every db_predicate names a store
+that one of the scenario's apps declares.
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     )
     _check_payloads(scenario, source)
     _check_init(scenario, source)
+    _check_criteria(scenario, source)
     return scenario
 
 
@@ -265,6 +267,22 @@ def _check_init(scenario: Scenario, source: str) -> None:
                 if not isinstance(rec, dict):
                     raise SchemaError(
                         f"{source}.init.{app}.{store}[{i}]: expected a record mapping")
+
+
+def _check_criteria(scenario: Scenario, source: str) -> None:
+    for i, criterion in enumerate(scenario.validation):
+        if criterion.kind != "db_predicate":
+            continue
+        where = f"{source}.validation[{i}]"
+        machine = scenario.machines.get(criterion.app)
+        if machine is None:
+            raise SchemaError(
+                f"{where}.app: {criterion.app!r} not in the scenario's app list")
+        declared = sorted(name for name, _ in machine.stores)
+        if criterion.store not in declared:
+            raise SchemaError(
+                f"{where}.store: {criterion.app} has no store {criterion.store!r}; "
+                f"declared: {declared}")
 
 
 def load_scenario(path) -> Scenario:

@@ -24,7 +24,7 @@ from phonesim import (
     success_metrics,
     validate_state_machine,
 )
-from phonesim.apps import DOMAIN_APPS, build_app
+from phonesim.apps import BUILDERS, build_app
 from phonesim.errors import NoProposals, PhonesimError
 from phonesim.events import Event
 from phonesim.metrics import acceptance_rate, proposal_rate
@@ -53,7 +53,7 @@ EXPECTED_STATES = {
 
 def test_criterion_01_fsm_conformance_and_gate_fuzz():
     started = time.monotonic()
-    assert set(DOMAIN_APPS) == set(EXPECTED_STATES)
+    assert set(BUILDERS) == set(EXPECTED_STATES)
     for app_id, expected in EXPECTED_STATES.items():
         machine = build_app(app_id)
         assert set(machine.states) == expected, app_id
@@ -103,26 +103,126 @@ def _user_path(world, app_id, calls):
         world.invoke_user_tool(f"{app_id}__{tool}", args)
 
 
+def _email(folder="inbox"):
+    return {"id": "E001", "folder": folder, "sender": "kim@x.example",
+            "recipients": ["user"], "cc": [], "subject": "Lease", "body": "sign it",
+            "attachments": [], "timestamp": "2025-06-01 08:00", "read": True}
+
+
+EVENT = {"id": "CE001", "title": "standup", "start": "2025-06-02 09:00",
+         "end": "2025-06-02 09:15", "tag": "work", "description": "", "location": "",
+         "attendees": ["ana"]}
+REMINDER = {"id": "R001", "title": "rent", "description": "", "due": "2025-06-03 09:00",
+            "repetition": "none"}
+NOTE = {"id": "N001", "title": "ideas", "content": "draft", "folder": "Notes",
+        "attachments": []}
+CONTACT = {"id": "C001", "name": "Ana", "email": "ana@x.example", "phone": "",
+           "notes": ""}
+LISTING = {"id": "A001", "name": "Canal House", "location": "Downtown", "rent": 1850,
+           "bedrooms": 1}
+
+# One entry per flat-API write: (app, seeded stores, screen path, API calls).
+# Both sides start from the same seed and must leave the same database.
+# Seeded emails are already read, because the screen's open_email marks an
+# email read and the API's move_email does not.
 EQUIVALENCE_FLOWS = [
     ("EmailApp", {},
      [("start_compose", {}), ("set_recipients", {"recipients": ["pat@x.example"]}),
       ("set_subject", {"subject": "hello"}), ("set_body", {"body": "see you"}),
       ("send_composed_email", {})],
-     ("send_email", {"recipients": ["pat@x.example"], "subject": "hello",
-                     "body": "see you"})),
+     [("send_email", {"recipients": ["pat@x.example"], "subject": "hello",
+                      "body": "see you"})]),
+    ("EmailApp", {},
+     [("start_compose", {}), ("set_recipients", {"recipients": ["pat@x.example"]}),
+      ("set_cc", {"cc": ["lee@x.example"]}), ("set_subject", {"subject": "hello"}),
+      ("set_body", {"body": "see you"}), ("send_composed_email", {})],
+     [("send_email", {"recipients": ["pat@x.example"], "subject": "hello",
+                      "body": "see you", "cc": ["lee@x.example"]})]),
+    ("EmailApp", {("EmailApp", "emails"): [_email()]},
+     [("open_email", {"email_id": "E001"}), ("move_email", {"folder": "archive"})],
+     [("move_email", {"email_id": "E001", "folder": "archive"})]),
+    ("EmailApp", {("EmailApp", "emails"): [_email()]},
+     [("open_email", {"email_id": "E001"}), ("delete_email", {})],
+     [("delete_email", {"email_id": "E001"})]),
     ("MessagingApp",
      {("MessagingApp", "conversations"): [
          {"id": "CV001", "title": "Sam", "participants": ["user", "Sam"],
           "messages": []}]},
      [("open_conversation", {"conversation_id": "CV001"}),
       ("send_message", {"message": "on my way"})],
-     ("send_message", {"conversation_id": "CV001", "message": "on my way"})),
+     [("send_message", {"conversation_id": "CV001", "message": "on my way"})]),
     ("CalendarApp", {},
      [("start_create_event", {}), ("set_title", {"title": "dentist"}),
       ("set_time_range", {"start": "2025-06-02 10:00", "end": "2025-06-02 11:00"}),
       ("save", {})],
-     ("add_event", {"title": "dentist", "start": "2025-06-02 10:00",
-                    "end": "2025-06-02 11:00"})),
+     [("add_event", {"title": "dentist", "start": "2025-06-02 10:00",
+                     "end": "2025-06-02 11:00"})]),
+    ("CalendarApp", {},
+     [("start_create_event", {}), ("set_title", {"title": "offsite"}),
+      ("set_time_range", {"start": "2025-06-04 10:00", "end": "2025-06-04 16:00"}),
+      ("set_tag", {"tag": "work"}), ("set_description", {"description": "planning"}),
+      ("set_location", {"location": "Harbor Hall"}),
+      ("set_attendees", {"attendees": ["ana", "bo"]}), ("save", {})],
+     [("add_event", {"title": "offsite", "start": "2025-06-04 10:00",
+                     "end": "2025-06-04 16:00", "tag": "work", "description": "planning",
+                     "location": "Harbor Hall", "attendees": ["ana", "bo"]})]),
+    ("CalendarApp", {("CalendarApp", "events"): [EVENT]},
+     [("open_event", {"event_id": "CE001"}), ("delete_event", {})],
+     [("delete_event", {"event_id": "CE001"})]),
+    ("ReminderApp", {},
+     [("create_new", {}), ("set_title", {"title": "pay rent"}),
+      ("set_description", {"description": "landlord"}),
+      ("set_due_datetime", {"due": "2025-06-03 09:00"}),
+      ("set_repetition", {"repetition": "monthly"}), ("save", {})],
+     [("create_reminder", {"title": "pay rent", "description": "landlord",
+                           "due": "2025-06-03 09:00", "repetition": "monthly"})]),
+    ("ReminderApp", {("ReminderApp", "reminders"): [REMINDER]},
+     [("open_reminder", {"reminder_id": "R001"}), ("edit", {}),
+      ("set_title", {"title": "pay rent"}), ("set_due_datetime", {"due": "2025-06-04 09:00"}),
+      ("save", {})],
+     [("update_reminder", {"reminder_id": "R001", "title": "pay rent",
+                           "due": "2025-06-04 09:00"})]),
+    ("ReminderApp", {("ReminderApp", "reminders"): [REMINDER]},
+     [("open_reminder", {"reminder_id": "R001"}), ("delete", {})],
+     [("delete_reminder", {"reminder_id": "R001"})]),
+    ("NoteApp", {},
+     [("list_folders", {}), ("open_folder", {"folder": "Work"}), ("new_note", {}),
+      ("set_title", {"title": "agenda"}), ("set_content", {"content": "budget"}),
+      ("update_note", {})],
+     [("create_note", {"title": "agenda", "content": "budget", "folder": "Work"})]),
+    ("NoteApp", {("NoteApp", "notes"): [NOTE]},
+     [("open_note", {"note_id": "N001"}), ("edit_note", {}),
+      ("set_title", {"title": "plans"}), ("set_content", {"content": "final"}),
+      ("update_note", {}), ("move_note", {"folder": "Work"})],
+     [("update_note", {"note_id": "N001", "title": "plans", "content": "final",
+                       "folder": "Work"})]),
+    ("NoteApp", {("NoteApp", "notes"): [NOTE]},
+     [("open_note", {"note_id": "N001"}), ("delete_note", {})],
+     [("delete_note", {"note_id": "N001"})]),
+    ("ContactsApp", {},
+     [("create_contact", {"name": "Bo", "email": "bo@x.example", "phone": "555",
+                          "notes": "neighbor"})],
+     [("create_contact", {"name": "Bo", "email": "bo@x.example", "phone": "555",
+                          "notes": "neighbor"})]),
+    ("ContactsApp", {("ContactsApp", "contacts"): [CONTACT]},
+     [("open_contact", {"contact_id": "C001"}), ("start_edit_contact", {}),
+      ("update_contact", {"phone": "555-0101", "notes": "landlord"})],
+     [("update_contact", {"contact_id": "C001", "phone": "555-0101",
+                          "notes": "landlord"})]),
+    ("ContactsApp", {("ContactsApp", "contacts"): [CONTACT]},
+     [("open_contact", {"contact_id": "C001"}), ("delete_contact", {})],
+     [("delete_contact", {"contact_id": "C001"})]),
+    ("CabApp", {},
+     [("list_rides", {}),
+      ("get_quotation", {"pickup": "Home", "destination": "Airport", "service": "premium"}),
+      ("order_ride", {})],
+     [("order_ride", {"pickup": "Home", "destination": "Airport", "service": "premium"})]),
+    ("CabApp",
+     {("CabApp", "rides"): [
+         {"id": "RD001", "status": "active", "pickup": "Home", "destination": "Airport",
+          "service": "standard", "price": 1200, "timestamp": "2025-06-01 08:50"}]},
+     [("open_current_ride", {}), ("cancel_ride", {})],
+     [("cancel_ride", {"ride_id": "RD001"})]),
     ("ShoppingApp",
      {("ShoppingApp", "products"): [
          {"id": "P001", "name": "Shoes", "price": 8900,
@@ -130,32 +230,45 @@ EQUIVALENCE_FLOWS = [
      [("view_product", {"product_id": "P001"}),
       ("view_variant", {"variant_id": "V001"}), ("add_to_cart", {}),
       ("checkout", {})],
-     None),  # API side: add_to_cart then checkout (see below)
-    ("ApartmentApp",
-     {("ApartmentApp", "apartments"): [
-         {"id": "A001", "name": "Canal House", "location": "Downtown",
-          "rent": 1850, "bedrooms": 1}]},
+     [("add_to_cart", {"variant_id": "V001"}), ("checkout", {})]),
+    ("ShoppingApp",
+     {("ShoppingApp", "cart"): [
+         {"id": "CI001", "variant_id": "V001", "product_id": "P001",
+          "name": "Shoes (size 9)", "price": 8900, "quantity": 2}]},
+     [("view_cart", {}), ("remove_item", {"item_id": "CI001"})],
+     [("remove_from_cart", {"item_id": "CI001"})]),
+    ("ApartmentApp", {("ApartmentApp", "apartments"): [LISTING]},
      [("view_apartment", {"apartment_id": "A001"}), ("save", {})],
-     ("save_apartment", {"apartment_id": "A001"})),
+     [("save_apartment", {"apartment_id": "A001"})]),
+    ("ApartmentApp",
+     {("ApartmentApp", "apartments"): [LISTING], ("ApartmentApp", "saved"): [LISTING]},
+     [("view_apartment", {"apartment_id": "A001"}), ("unsave", {})],
+     [("unsave_apartment", {"apartment_id": "A001"})]),
 ]
 
 
 def test_criterion_02_path_api_equivalence():
-    checked = 0
-    for app_id, seed, fsm_calls, api_call in EQUIVALENCE_FLOWS:
+    covered = set()
+    for app_id, seed, fsm_calls, api_calls in EQUIVALENCE_FLOWS:
         a = _world_with(app_id, seed)
         b = _world_with(app_id, seed)
+        before = a.db_digest()
         _user_path(a, app_id, fsm_calls)
-        if api_call is None:
-            b.invoke_agent_tool(f"{app_id}__add_to_cart", {"variant_id": "V001"},
-                                mode="execute")
-            b.invoke_agent_tool(f"{app_id}__checkout", {}, mode="execute")
-        else:
-            tool, args = api_call
+        for tool, args in api_calls:
             b.invoke_agent_tool(f"{app_id}__{tool}", args, mode="execute")
-        assert a.db_digest() == b.db_digest(), app_id
-        checked += 1
-    assert checked >= 5
+            covered.add((app_id, tool))
+        assert a.db_digest() != before, (app_id, api_calls)
+        assert a.db_digest() == b.db_digest(), (app_id, api_calls)
+        # A screen that deleted its open record no longer has it open.
+        open_id = a.sessions[app_id].get("open_id")
+        assert open_id is None or any(
+            open_id in store.records for store in a.db.app_stores(app_id).values())
+    # Every API tool that writes has a screen path above, so a new write
+    # without one fails here.
+    writes = {(app_id, api.tool.name) for app_id in BUILDERS
+              for api in build_app(app_id).agent_api_tools() if not api.tool.read_only}
+    assert covered == writes
+    assert len(writes) == 22
 
 
 # ---------------------------------------------------------------------------

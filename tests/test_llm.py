@@ -1,4 +1,8 @@
+import hashlib
+
 import phonesim.llm
+from phonesim.apps import BUILDERS, build_app
+from phonesim.fsm import render_app_reference
 from phonesim.interfaces import AgentView
 from phonesim.llm import LLMAssistantPolicy
 
@@ -34,3 +38,15 @@ def test_assistant_renders_its_system_prompts_once(monkeypatch):
     observe, execute = policy.observe_system, policy.execute_system
     assert observe != execute and "{{AVAILABLE_APPS}}" not in observe + execute
     assert client.systems == [observe, execute, observe, observe, execute]
+
+
+# The app reference goes into every `llm:` prompt, and so into the `llm_fake`
+# benchmark. A deliberate change to it updates this digest and says so in
+# CHANGES.md; any other change here is an accident.
+APP_REFERENCE_SHA256 = "002a5259f58235d4e562ad94e13d919332541c36b11ba4569e5c400c8274f59c"
+
+
+def test_app_reference_text_is_frozen():
+    text = render_app_reference([build_app(app_id) for app_id in BUILDERS])
+    assert len(text) == 13_268
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == APP_REFERENCE_SHA256

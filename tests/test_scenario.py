@@ -167,6 +167,18 @@ def test_init_store_names_checked():
         parse_scenario(doc)
 
 
+def test_db_predicate_store_checked_at_load():
+    doc = base_doc()
+    doc["validation"][0]["store"] = "sent"
+    with pytest.raises(SchemaError, match=r"validation\[0\]\.store.*'sent'"):
+        parse_scenario(doc)
+    doc = base_doc()
+    doc["validation"].append({"kind": "db_predicate", "app": "CalendarApp",
+                              "store": "events", "check": "count", "value": 0})
+    with pytest.raises(SchemaError, match=r"validation\[1\]\.app.*CalendarApp"):
+        parse_scenario(doc)
+
+
 def test_schema_version_required():
     doc = base_doc()
     doc["schema_version"] = 99

@@ -186,6 +186,53 @@ def test_write_deep_copies_only_the_records_it_touches(monkeypatch):
     assert len(emails) == 10_001
 
 
+def test_screen_tool_logs_only_the_arguments_the_user_gave():
+    """A screen tool binds the open record's id into its own copy of the
+    arguments; the log and the assistant's feed keep what the user typed."""
+    world = make_world("EmailApp")
+    world.db.store("EmailApp", "emails").add(_email(0))
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
+    world.invoke_user_tool("EmailApp__open_email", {"email_id": "E001"})
+    world.invoke_user_tool("EmailApp__move_email", {"folder": "archive"})
+    assert world.db.store("EmailApp", "emails").get("E001")["folder"] == "archive"
+    assert world.tool_log[-1]["tool"] == "EmailApp__move_email"
+    assert world.tool_log[-1]["args"] == {"folder": "archive"}
+    _, actions = world.notifications.drain_assistant()
+    assert actions[-1].startswith('[user_action] EmailApp__move_email({"folder": "archive"})')
+
+
+def test_screen_lists_page_while_the_api_lists_everything():
+    world = make_world("ContactsApp")
+    for i in range(12):
+        world.db.store("ContactsApp", "contacts").add(
+            {"name": f"n{i}", "email": "", "phone": "", "notes": ""})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
+    assert len(world.invoke_user_tool("ContactsApp__list_contacts", {}).splitlines()) == 10
+    tail = world.invoke_user_tool("ContactsApp__list_contacts", {"offset": 10})
+    assert [line.split()[0] for line in tail.splitlines()] == ["id=C011", "id=C012"]
+    listing = world.invoke_agent_tool("ContactsApp__list_contacts", {})
+    assert len(listing.splitlines()) == 12
+
+
+def test_screen_write_on_a_record_deleted_through_the_api_is_refused():
+    world = make_world("ContactsApp")
+    contacts = world.db.store("ContactsApp", "contacts")
+    for name in ("Ana", "Bo"):
+        contacts.add({"name": name, "email": "", "phone": "", "notes": ""})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
+    world.invoke_user_tool("ContactsApp__open_contact", {"contact_id": "C001"})
+    world.invoke_user_tool("ContactsApp__start_edit_contact", {})
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
+                            mode="execute")
+    dump, before = copy.deepcopy(world.db.dump()), world.db_digest()
+    with pytest.raises(GuardFailed):
+        world.invoke_user_tool("ContactsApp__update_contact", {"phone": "555"})
+    assert world.db.dump() == dump
+    assert world.db_digest() == before
+    assert _journals(world) == [None]
+    assert world.sessions["ContactsApp"]["state"] == "Edit"
+
+
 def test_failure_injection_hits_assistant_calls_only():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
