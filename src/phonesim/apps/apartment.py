@@ -4,19 +4,16 @@ Detail has no back transition; exits go through system navigation."""
 
 from __future__ import annotations
 
-import json
-
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import DEFAULT_PAGE, list_op, on_open, read_op, render_records, require_record
+from .common import (
+    DEFAULT_PAGE, PAGING, list_op, on_open, open_op, read_op, render_records, require_record,
+)
 
 LIST_FIELDS = ("name", "location", "rent", "bedrooms")
 
 
-def view_apartment(ctx: ToolContext) -> str:
-    listing = require_record(ctx.store("apartments"), ctx.args["apartment_id"], "apartment")
-    ctx.session["open_id"] = listing["id"]
-    return json.dumps(listing, sort_keys=True)
+view_apartment = open_op("apartments", "apartment_id", "apartment")
 
 
 def search(ctx: ToolContext) -> str:
@@ -56,7 +53,6 @@ def unsave_apartment(ctx: ToolContext) -> str:
     return f"removed {apartment_id} from saved"
 
 
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 SEARCH_PARAMS = (Param("location", required=False), Param("min_rent", "int", required=False),
                  Param("max_rent", "int", required=False), Param("bedrooms", "int", required=False))
 

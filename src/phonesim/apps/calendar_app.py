@@ -11,10 +11,12 @@ import json
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    DEFAULT_PAGE, by_index, delete_op, list_op, on_open, read_op, render_records, require_record,
+    DEFAULT_PAGE, PAGING, append_draft, by_index, delete_op, draft, list_op, on_open, open_op,
+    open_record, read_op, render_records, require_record, search_op, set_draft,
 )
 
 LIST_FIELDS = ("title", "start", "end", "tag")
+DRAFT = "event draft"
 
 
 def _fresh_draft() -> dict:
@@ -31,30 +33,10 @@ def _add_event(store, title: str, start: str, end: str, tag: str = "",
     })
 
 
-def _open(ctx: ToolContext) -> dict:
-    return require_record(ctx.store("events"), ctx.session.get("open_id", ""), "open event")
-
-
-def _draft(ctx: ToolContext) -> dict:
-    draft = ctx.session.get("draft")
-    if draft is None:
-        raise GuardFailed("no event draft in progress")
-    return draft
-
-
 # -- Agenda -------------------------------------------------------------------
 
-def search_events(ctx: ToolContext) -> str:
-    query = ctx.args["query"].lower()
-    hits = [e for e in ctx.store("events").all()
-            if query in e["title"].lower() or query in e["description"].lower()]
-    return render_records(hits, LIST_FIELDS)
-
-
-def open_event(ctx: ToolContext) -> str:
-    event = require_record(ctx.store("events"), ctx.args["event_id"], "event")
-    ctx.session["open_id"] = event["id"]
-    return json.dumps(event, sort_keys=True)
+search_events = search_op("events", ("title", "description"), LIST_FIELDS)
+open_event = open_op("events", "event_id", "event")
 
 
 def open_event_by_index(ctx: ToolContext) -> str:
@@ -113,14 +95,14 @@ def delete_by_attendee(ctx: ToolContext) -> str:
 
 
 def list_attendees(ctx: ToolContext) -> str:
-    return ", ".join(_open(ctx)["attendees"]) or "(no attendees)"
+    return ", ".join(open_record(ctx, "events", "event")["attendees"]) or "(no attendees)"
 
 
 def edit_event(ctx: ToolContext) -> str:
-    event = _open(ctx)
-    draft = {k: event[k] for k in _fresh_draft()}
-    draft["attendees"] = list(draft["attendees"])
-    ctx.session["draft"] = draft
+    event = open_record(ctx, "events", "event")
+    edits = {k: event[k] for k in _fresh_draft()}
+    edits["attendees"] = list(edits["attendees"])
+    ctx.session["draft"] = edits
     ctx.session["editing_id"] = event["id"]
     ctx.session["edit_return"] = "Detail"
     return f"editing {event['id']}"
@@ -128,47 +110,20 @@ def edit_event(ctx: ToolContext) -> str:
 
 # -- Edit ---------------------------------------------------------------------
 
-def set_title(ctx: ToolContext) -> str:
-    _draft(ctx)["title"] = ctx.args["title"]
-    return "title set"
-
-
-def set_time_range(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
-    draft["start"], draft["end"] = ctx.args["start"], ctx.args["end"]
-    return "time range set"
-
-
-def set_tag(ctx: ToolContext) -> str:
-    _draft(ctx)["tag"] = ctx.args["tag"]
-    return "tag set"
-
-
-def set_description(ctx: ToolContext) -> str:
-    _draft(ctx)["description"] = ctx.args["description"]
-    return "description set"
-
-
-def set_location(ctx: ToolContext) -> str:
-    _draft(ctx)["location"] = ctx.args["location"]
-    return "location set"
-
-
-def set_attendees(ctx: ToolContext) -> str:
-    _draft(ctx)["attendees"] = list(ctx.args["attendees"])
-    return "attendees set"
-
-
-def add_attendee(ctx: ToolContext) -> str:
-    _draft(ctx)["attendees"].append(ctx.args["attendee"])
-    return "attendee added"
+set_title = set_draft(("title",), "title set", DRAFT)
+set_time_range = set_draft(("start", "end"), "time range set", DRAFT)
+set_tag = set_draft(("tag",), "tag set", DRAFT)
+set_description = set_draft(("description",), "description set", DRAFT)
+set_location = set_draft(("location",), "location set", DRAFT)
+set_attendees = set_draft(("attendees",), "attendees set", DRAFT)
+add_attendee = append_draft("attendees", "attendee", "attendee added", DRAFT)
 
 
 def remove_attendee(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
-    if ctx.args["attendee"] not in draft["attendees"]:
+    attendees = draft(ctx, DRAFT)["attendees"]
+    if ctx.args["attendee"] not in attendees:
         raise GuardFailed(f"{ctx.args['attendee']!r} is not an attendee")
-    draft["attendees"].remove(ctx.args["attendee"])
+    attendees.remove(ctx.args["attendee"])
     return "attendee removed"
 
 
@@ -180,18 +135,18 @@ def _edit_exit(ctx: ToolContext) -> None:
 
 
 def save(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
+    current = draft(ctx, DRAFT)
     editing = ctx.session.get("editing_id")
     if editing:
         event = require_record(ctx.store("events"), editing, "event")
-        event.update(draft)
+        event.update(current)
         _edit_exit(ctx)
         ctx.go("Detail")
         ctx.session["open_id"] = editing
         return f"event {editing} updated"
-    if not draft["title"] or not draft["start"]:
+    if not current["title"] or not current["start"]:
         raise GuardFailed("draft needs at least a title and a start time")
-    rid = _add_event(ctx.store("events"), **draft)
+    rid = _add_event(ctx.store("events"), **current)
     _edit_exit(ctx)
     return f"event created as {rid}"
 
@@ -212,9 +167,6 @@ def api_add_event(ctx: ToolContext) -> str:
                      tag=ctx.args.get("tag", ""), description=ctx.args.get("description", ""),
                      location=ctx.args.get("location", ""), attendees=ctx.args.get("attendees"))
     return f"event created as {rid}"
-
-
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def build() -> AppStateMachine:

@@ -3,7 +3,14 @@
 A record operation is declared once, over an explicit id argument, and
 serves both surfaces: the flat API passes the id in its arguments, and a
 screen transition wraps the same operation in `on_open`, which binds the
-record the screen has open to that argument.
+record the screen has open to that argument. The record-operation builders
+are `list_op`, `read_op`, `delete_op`, `update_op` and `search_op`.
+
+The screen patterns have builders too, so an app declares only what differs
+between its screens: `open_op` opens a record and keeps its id in the
+session, `open_record` reads the record the screen has open, and `draft`,
+`set_draft` and `append_draft` read and edit the draft an edit screen holds
+in its session until save or cancel.
 """
 
 from __future__ import annotations
@@ -12,9 +19,10 @@ import json
 
 from ..database import Store
 from ..errors import GuardFailed
-from ..fsm import Handler, ToolContext
+from ..fsm import Handler, Param, ToolContext
 
 DEFAULT_PAGE = 10
+PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def paginate(records: list[dict], offset: int = 0, limit: int = DEFAULT_PAGE) -> list[dict]:
@@ -88,6 +96,22 @@ def delete_op(store: str, id_arg: str, what: str) -> Handler:
     return op
 
 
+def search_op(store: str, fields: tuple[str, ...], list_fields: tuple[str, ...]) -> Handler:
+    """Records where any of `fields` contains the query, ignoring case."""
+    def op(ctx: ToolContext) -> str:
+        query = ctx.args["query"].lower()
+        hits = []
+        # A plain loop: a per-record any(<genexpr>) costs about three times
+        # as much on a large store.
+        for rec in ctx.store(store).all():
+            for name in fields:
+                if query in rec[name].lower():
+                    hits.append(rec)
+                    break
+        return render_records(hits, list_fields)
+    return op
+
+
 def update_op(store: str, id_arg: str, fields: tuple[str, ...], what: str) -> Handler:
     """Set each of `fields` that the call passes."""
     def op(ctx: ToolContext) -> str:
@@ -96,4 +120,48 @@ def update_op(store: str, id_arg: str, fields: tuple[str, ...], what: str) -> Ha
             if name in ctx.args:
                 rec[name] = ctx.args[name]
         return f"{what} {rec['id']} updated"
+    return op
+
+
+# -- screen patterns -------------------------------------------------------------
+
+def open_record(ctx: ToolContext, store: str, what: str) -> dict:
+    """The record the screen has open (`session["open_id"]`)."""
+    return require_record(ctx.store(store), ctx.session.get("open_id", ""), f"open {what}")
+
+
+def open_op(store: str, id_arg: str, what: str, key: str = "open_id") -> Handler:
+    """Open a record: the screen keeps its id in `session[key]` and shows it."""
+    def op(ctx: ToolContext) -> str:
+        rec = require_record(ctx.store(store), ctx.args[id_arg], what)
+        ctx.session[key] = rec["id"]
+        return json.dumps(rec, sort_keys=True)
+    return op
+
+
+def draft(ctx: ToolContext, what: str = "draft") -> dict:
+    """The draft the edit screen holds (`session["draft"]`)."""
+    current = ctx.session.get("draft")
+    if current is None:
+        raise GuardFailed(f"no {what} in progress")
+    return current
+
+
+def set_draft(fields: tuple[str, ...], done: str, what: str = "draft") -> Handler:
+    """Set each of `fields` in the draft from the argument of that name; a
+    list argument is copied."""
+    def op(ctx: ToolContext) -> str:
+        current = draft(ctx, what)
+        for name in fields:
+            value = ctx.args[name]
+            current[name] = list(value) if isinstance(value, list) else value
+        return done
+    return op
+
+
+def append_draft(field: str, arg: str, done: str, what: str = "draft") -> Handler:
+    """Append the argument `arg` to the draft's list `field`."""
+    def op(ctx: ToolContext) -> str:
+        draft(ctx, what)[field].append(ctx.args[arg])
+        return done
     return op

@@ -2,30 +2,17 @@
 
 from __future__ import annotations
 
-import json
-
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    DEFAULT_PAGE, delete_op, list_op, on_open, read_op, render_records, require_record, update_op,
+    DEFAULT_PAGE, PAGING, delete_op, list_op, on_open, open_op, open_record, read_op, search_op,
+    update_op,
 )
 
 LIST_FIELDS = ("name", "email", "phone")
 
 
-def _open(ctx: ToolContext) -> dict:
-    return require_record(ctx.store("contacts"), ctx.session.get("open_id", ""), "open contact")
-
-
-def search_contacts(ctx: ToolContext) -> str:
-    query = ctx.args["query"].lower()
-    hits = [c for c in ctx.store("contacts").all() if query in c["name"].lower()]
-    return render_records(hits, LIST_FIELDS)
-
-
-def open_contact(ctx: ToolContext) -> str:
-    contact = require_record(ctx.store("contacts"), ctx.args["contact_id"], "contact")
-    ctx.session["open_id"] = contact["id"]
-    return json.dumps(contact, sort_keys=True)
+search_contacts = search_op("contacts", ("name",), LIST_FIELDS)
+open_contact = open_op("contacts", "contact_id", "contact")
 
 
 def view_current_user(ctx: ToolContext) -> str:
@@ -43,7 +30,7 @@ def create_contact(ctx: ToolContext) -> str:
 
 
 def start_edit_contact(ctx: ToolContext) -> str:
-    return f"editing {_open(ctx)['id']}"
+    return f"editing {open_record(ctx, 'contacts', 'contact')['id']}"
 
 
 # -- flat API; the Detail and Edit screens act through on_open -----------------
@@ -54,7 +41,6 @@ delete_contact = delete_op("contacts", "contact_id", "contact")
 view_contact = on_open(get_contact, "contact_id")
 
 
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 CONTACT_FIELDS = (Param("name"), Param("email", required=False),
                   Param("phone", required=False), Param("notes", required=False))
 EDIT_FIELDS = tuple(Param(p.name, required=False) for p in CONTACT_FIELDS)

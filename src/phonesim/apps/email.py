@@ -11,7 +11,10 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import by_index, delete_op, on_open, paginate, read_op, render_records, require_record
+from .common import (
+    PAGING, append_draft, by_index, delete_op, draft, on_open, open_record, paginate, read_op,
+    render_records, require_record, search_op, set_draft,
+)
 
 FOLDERS = ("inbox", "sent", "drafts", "archive", "trash")
 LIST_FIELDS = ("folder", "sender", "subject")
@@ -56,11 +59,6 @@ def _folder_emails(ctx: ToolContext) -> list[dict]:
     return ctx.store("emails").find(folder=folder)
 
 
-def _open_email(ctx: ToolContext) -> dict:
-    email = require_record(ctx.store("emails"), ctx.session.get("open_id", ""), "open email")
-    return email
-
-
 def _render_email(email: dict) -> str:
     return json.dumps(email, sort_keys=True)
 
@@ -72,11 +70,7 @@ def list_emails(ctx: ToolContext) -> str:
     return f"folder={ctx.session.get('folder', 'inbox')}\n" + render_records(emails, LIST_FIELDS)
 
 
-def search_emails(ctx: ToolContext) -> str:
-    query = ctx.args["query"].lower()
-    hits = [e for e in ctx.store("emails").all()
-            if query in e["subject"].lower() or query in e["body"].lower()]
-    return render_records(hits, LIST_FIELDS)
+search_emails = search_op("emails", ("subject", "body"), LIST_FIELDS)
 
 
 def open_email(ctx: ToolContext) -> str:
@@ -110,14 +104,14 @@ def start_compose(ctx: ToolContext) -> str:
 # -- Detail -------------------------------------------------------------------
 
 def reply(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
+    email = open_record(ctx, "emails", "email")
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
                 [email["sender"]], "Re: " + email["subject"], ctx.args["body"])
     return f"reply sent as {rid}"
 
 
 def forward(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
+    email = open_record(ctx, "emails", "email")
     body = ctx.args.get("body", "") + "\n---- forwarded ----\n" + email["body"]
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
                 ctx.args["recipients"], "Fwd: " + email["subject"], body)
@@ -125,28 +119,21 @@ def forward(ctx: ToolContext) -> str:
 
 
 def download_attachments(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
+    email = open_record(ctx, "emails", "email")
     return "attachments: " + (", ".join(email["attachments"]) or "(none)")
 
 
 def start_compose_reply(ctx: ToolContext) -> str:
-    email = _open_email(ctx)
-    draft = _fresh_draft()
-    draft["recipients"] = [email["sender"]]
-    draft["subject"] = "Re: " + email["subject"]
-    ctx.session["draft"] = draft
+    email = open_record(ctx, "emails", "email")
+    reply_draft = _fresh_draft()
+    reply_draft["recipients"] = [email["sender"]]
+    reply_draft["subject"] = "Re: " + email["subject"]
+    ctx.session["draft"] = reply_draft
     ctx.session["compose_return"] = "Detail"
     return "composing a reply to " + email["sender"]
 
 
 # -- Compose ------------------------------------------------------------------
-
-def _draft(ctx: ToolContext) -> dict:
-    draft = ctx.session.get("draft")
-    if draft is None:
-        raise GuardFailed("no draft in progress")
-    return draft
-
 
 def _compose_exit(ctx: ToolContext) -> None:
     ctx.go(ctx.session.get("compose_return") or "Mailbox")
@@ -154,57 +141,35 @@ def _compose_exit(ctx: ToolContext) -> None:
     ctx.session["compose_return"] = None
 
 
-def set_recipients(ctx: ToolContext) -> str:
-    _draft(ctx)["recipients"] = list(ctx.args["recipients"])
-    return "recipients set"
-
-
-def add_recipient(ctx: ToolContext) -> str:
-    _draft(ctx)["recipients"].append(ctx.args["recipient"])
-    return "recipient added"
-
-
-def set_cc(ctx: ToolContext) -> str:
-    _draft(ctx)["cc"] = list(ctx.args["cc"])
-    return "cc set"
-
-
-def set_subject(ctx: ToolContext) -> str:
-    _draft(ctx)["subject"] = ctx.args["subject"]
-    return "subject set"
-
-
-def set_body(ctx: ToolContext) -> str:
-    _draft(ctx)["body"] = ctx.args["body"]
-    return "body set"
-
-
-def attach_file(ctx: ToolContext) -> str:
-    _draft(ctx)["attachments"].append(ctx.args["filename"])
-    return "file attached"
+set_recipients = set_draft(("recipients",), "recipients set")
+add_recipient = append_draft("recipients", "recipient", "recipient added")
+set_cc = set_draft(("cc",), "cc set")
+set_subject = set_draft(("subject",), "subject set")
+set_body = set_draft(("body",), "body set")
+attach_file = append_draft("attachments", "filename", "file attached")
 
 
 def send_composed_email(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
-    if not draft["recipients"]:
+    current = draft(ctx)
+    if not current["recipients"]:
         raise GuardFailed("draft has no recipients")
     rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
-                draft["recipients"], draft["subject"], draft["body"],
-                cc=draft["cc"], attachments=draft["attachments"])
+                current["recipients"], current["subject"], current["body"],
+                cc=current["cc"], attachments=current["attachments"])
     _compose_exit(ctx)
     return f"email sent as {rid}"
 
 
 def save_draft(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
+    current = draft(ctx)
     rid = ctx.store("emails").add({
         "folder": "drafts",
         "sender": ctx.current_user,
-        "recipients": draft["recipients"],
-        "cc": draft["cc"],
-        "subject": draft["subject"],
-        "body": draft["body"],
-        "attachments": draft["attachments"],
+        "recipients": current["recipients"],
+        "cc": current["cc"],
+        "subject": current["subject"],
+        "body": current["body"],
+        "attachments": current["attachments"],
         "timestamp": ctx.clock.render(),
         "read": True,
     })
@@ -252,9 +217,6 @@ def move_email(ctx: ToolContext) -> str:
         raise GuardFailed(f"unknown folder {folder!r}")
     email["folder"] = folder
     return f"moved {email['id']} to {folder}"
-
-
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def build() -> AppStateMachine:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    DEFAULT_PAGE, list_op, on_open, paginate, read_op, render_records, require_record,
+    DEFAULT_PAGE, PAGING, list_op, on_open, open_record, paginate, read_op, render_records,
+    require_record,
 )
 
 LIST_FIELDS = ("title", "participants")
@@ -14,11 +15,6 @@ LIST_FIELDS = ("title", "participants")
 def _append_message(store, conversation_id: str, sender: str, content: str, timestamp: str) -> None:
     conv = require_record(store, conversation_id, "conversation")
     conv["messages"].append({"sender": sender, "content": content, "timestamp": timestamp})
-
-
-def _opened(ctx: ToolContext) -> dict:
-    return require_record(ctx.store("conversations"), ctx.session.get("open_id", ""),
-                          "open conversation")
 
 
 def search_conversations(ctx: ToolContext) -> str:
@@ -39,7 +35,7 @@ def open_conversation(ctx: ToolContext) -> str:
 
 
 def read_messages(ctx: ToolContext) -> str:
-    conv = _opened(ctx)
+    conv = open_record(ctx, "conversations", "conversation")
     msgs = paginate(conv["messages"], ctx.args.get("offset", 0), ctx.args.get("limit", 10))
     return "\n".join(f"{m['timestamp']} {m['sender']}: {m['content']}" for m in msgs) or "(no messages)"
 
@@ -67,9 +63,6 @@ def api_receive_message(ctx: ToolContext) -> str:
         raise GuardFailed(f"no conversation with id {cid!r}")
     _append_message(store, cid, sender, ctx.args["message"], ctx.clock.render())
     return f"message received in {cid}"
-
-
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def build() -> AppStateMachine:

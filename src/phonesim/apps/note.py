@@ -3,31 +3,20 @@ shows the folder index and drops back into List scoped to the chosen folder."""
 
 from __future__ import annotations
 
-import json
-
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    delete_op, list_op, on_open, paginate, read_op, render_records, require_record, update_op,
+    PAGING, delete_op, draft, list_op, on_open, open_op, open_record, paginate, read_op,
+    render_records, require_record, search_op, set_draft, update_op,
 )
 
 LIST_FIELDS = ("title", "folder")
 DEFAULT_FOLDER = "Notes"
+DRAFT = "note draft"
 
 
 def _fresh_draft() -> dict:
     return {"title": "", "content": ""}
-
-
-def _open(ctx: ToolContext) -> dict:
-    return require_record(ctx.store("notes"), ctx.session.get("open_id", ""), "open note")
-
-
-def _draft(ctx: ToolContext) -> dict:
-    draft = ctx.session.get("draft")
-    if draft is None:
-        raise GuardFailed("no note draft in progress")
-    return draft
 
 
 def _create_note(store, title: str, content: str, folder: str = DEFAULT_FOLDER) -> str:
@@ -41,17 +30,8 @@ def list_notes(ctx: ToolContext) -> str:
     return f"folder={folder}\n" + render_records(notes, LIST_FIELDS)
 
 
-def search_notes(ctx: ToolContext) -> str:
-    query = ctx.args["query"].lower()
-    hits = [n for n in ctx.store("notes").all()
-            if query in n["title"].lower() or query in n["content"].lower()]
-    return render_records(hits, LIST_FIELDS)
-
-
-def open_note(ctx: ToolContext) -> str:
-    note = require_record(ctx.store("notes"), ctx.args["note_id"], "note")
-    ctx.session["open_id"] = note["id"]
-    return json.dumps(note, sort_keys=True)
+search_notes = search_op("notes", ("title", "content"), LIST_FIELDS)
+open_note = open_op("notes", "note_id", "note")
 
 
 def new_note(ctx: ToolContext) -> str:
@@ -71,16 +51,16 @@ def open_folder(ctx: ToolContext) -> str:
 
 
 def list_attachments(ctx: ToolContext) -> str:
-    return ", ".join(_open(ctx)["attachments"]) or "(no attachments)"
+    return ", ".join(open_record(ctx, "notes", "note")["attachments"]) or "(no attachments)"
 
 
 def add_attachment(ctx: ToolContext) -> str:
-    _open(ctx)["attachments"].append(ctx.args["filename"])
+    open_record(ctx, "notes", "note")["attachments"].append(ctx.args["filename"])
     return "attachment added"
 
 
 def remove_attachment(ctx: ToolContext) -> str:
-    note = _open(ctx)
+    note = open_record(ctx, "notes", "note")
     if ctx.args["filename"] not in note["attachments"]:
         raise GuardFailed(f"no attachment {ctx.args['filename']!r}")
     note["attachments"].remove(ctx.args["filename"])
@@ -88,47 +68,41 @@ def remove_attachment(ctx: ToolContext) -> str:
 
 
 def edit_note(ctx: ToolContext) -> str:
-    note = _open(ctx)
+    note = open_record(ctx, "notes", "note")
     ctx.session["draft"] = {"title": note["title"], "content": note["content"]}
     ctx.session["editing_id"] = note["id"]
     return f"editing {note['id']}"
 
 
 def duplicate_note(ctx: ToolContext) -> str:
-    note = _open(ctx)
+    note = open_record(ctx, "notes", "note")
     rid = _create_note(ctx.store("notes"), note["title"] + " (copy)", note["content"],
                        note["folder"])
     return f"duplicated as {rid}"
 
 
 def move_note(ctx: ToolContext) -> str:
-    note = _open(ctx)
+    note = open_record(ctx, "notes", "note")
     note["folder"] = ctx.args["folder"]
     return f"moved {note['id']} to folder {ctx.args['folder']}"
 
 
-def set_title(ctx: ToolContext) -> str:
-    _draft(ctx)["title"] = ctx.args["title"]
-    return "title set"
-
-
-def set_content(ctx: ToolContext) -> str:
-    _draft(ctx)["content"] = ctx.args["content"]
-    return "content set"
+set_title = set_draft(("title",), "title set", DRAFT)
+set_content = set_draft(("content",), "content set", DRAFT)
 
 
 def update_note(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
+    current = draft(ctx, DRAFT)
     editing = ctx.session.get("editing_id")
     store = ctx.store("notes")
     if editing:
         note = require_record(store, editing, "note")
-        note["title"], note["content"] = draft["title"], draft["content"]
+        note["title"], note["content"] = current["title"], current["content"]
         rid = editing
     else:
-        if not draft["title"]:
+        if not current["title"]:
             raise GuardFailed("note draft needs a title")
-        rid = _create_note(store, draft["title"], draft["content"],
+        rid = _create_note(store, current["title"], current["content"],
                            ctx.session.get("folder", DEFAULT_FOLDER))
     ctx.session["draft"] = None
     ctx.session["editing_id"] = None
@@ -146,9 +120,6 @@ def api_create_note(ctx: ToolContext) -> str:
     rid = _create_note(ctx.store("notes"), ctx.args["title"], ctx.args["content"],
                        ctx.args.get("folder", DEFAULT_FOLDER))
     return f"note created as {rid}"
-
-
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def build() -> AppStateMachine:

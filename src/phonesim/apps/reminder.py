@@ -3,28 +3,19 @@ an existing reminder and to List when creating a new one."""
 
 from __future__ import annotations
 
-import json
-
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import delete_op, list_op, on_open, render_records, require_record, update_op
+from .common import (
+    delete_op, draft, list_op, on_open, open_op, open_record, render_records, require_record,
+    set_draft, update_op,
+)
 
 LIST_FIELDS = ("title", "due", "repetition")
+DRAFT = "reminder draft"
 
 
 def _fresh_draft() -> dict:
     return {"title": "", "description": "", "due": "", "repetition": "none"}
-
-
-def _open(ctx: ToolContext) -> dict:
-    return require_record(ctx.store("reminders"), ctx.session.get("open_id", ""), "open reminder")
-
-
-def _draft(ctx: ToolContext) -> dict:
-    draft = ctx.session.get("draft")
-    if draft is None:
-        raise GuardFailed("no reminder draft in progress")
-    return draft
 
 
 list_reminders = list_op("reminders", LIST_FIELDS)
@@ -45,10 +36,7 @@ def list_due_reminders(ctx: ToolContext) -> str:
     return render_records(hits, LIST_FIELDS)
 
 
-def open_reminder(ctx: ToolContext) -> str:
-    reminder = require_record(ctx.store("reminders"), ctx.args["reminder_id"], "reminder")
-    ctx.session["open_id"] = reminder["id"]
-    return json.dumps(reminder, sort_keys=True)
+open_reminder = open_op("reminders", "reminder_id", "reminder")
 
 
 def create_new(ctx: ToolContext) -> str:
@@ -58,44 +46,30 @@ def create_new(ctx: ToolContext) -> str:
 
 
 def edit(ctx: ToolContext) -> str:
-    reminder = _open(ctx)
+    reminder = open_record(ctx, "reminders", "reminder")
     ctx.session["draft"] = {k: reminder[k] for k in _fresh_draft()}
     ctx.session["editing_id"] = reminder["id"]
     return f"editing {reminder['id']}"
 
 
-def set_title(ctx: ToolContext) -> str:
-    _draft(ctx)["title"] = ctx.args["title"]
-    return "title set"
-
-
-def set_description(ctx: ToolContext) -> str:
-    _draft(ctx)["description"] = ctx.args["description"]
-    return "description set"
-
-
-def set_due_datetime(ctx: ToolContext) -> str:
-    _draft(ctx)["due"] = ctx.args["due"]
-    return "due datetime set"
-
-
-def set_repetition(ctx: ToolContext) -> str:
-    _draft(ctx)["repetition"] = ctx.args["repetition"]
-    return "repetition set"
+set_title = set_draft(("title",), "title set", DRAFT)
+set_description = set_draft(("description",), "description set", DRAFT)
+set_due_datetime = set_draft(("due",), "due datetime set", DRAFT)
+set_repetition = set_draft(("repetition",), "repetition set", DRAFT)
 
 
 def save(ctx: ToolContext) -> str:
-    draft = _draft(ctx)
+    current = draft(ctx, DRAFT)
     editing = ctx.session.get("editing_id")
     store = ctx.store("reminders")
     if editing:
         reminder = require_record(store, editing, "reminder")
-        reminder.update(draft)
+        reminder.update(current)
         rid = editing
     else:
-        if not draft["title"]:
+        if not current["title"]:
             raise GuardFailed("reminder draft needs a title")
-        rid = store.add(dict(draft))
+        rid = store.add(dict(current))
     ctx.session["draft"] = None
     ctx.session["editing_id"] = None
     ctx.session["open_id"] = rid

@@ -11,7 +11,9 @@ import json
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
-from .common import DEFAULT_PAGE, list_op, on_open, read_op, render_records, require_record
+from .common import (
+    DEFAULT_PAGE, PAGING, list_op, on_open, open_op, read_op, render_records, require_record,
+)
 
 PRODUCT_FIELDS = ("name", "price")
 
@@ -26,10 +28,7 @@ def _find_variant(products: list[dict], variant_id: str) -> tuple[dict, dict] | 
 
 # -- screens ------------------------------------------------------------------
 
-def view_product(ctx: ToolContext) -> str:
-    product = require_record(ctx.store("products"), ctx.args["product_id"], "product")
-    ctx.session["open_product"] = product["id"]
-    return json.dumps(product, sort_keys=True)
+view_product = open_op("products", "product_id", "product", key="open_product")
 
 
 def view_cart(ctx: ToolContext) -> str:
@@ -86,10 +85,7 @@ def checkout(ctx: ToolContext) -> str:
     return f"order placed as {order_id}"
 
 
-def view_order_from_list(ctx: ToolContext) -> str:
-    order = require_record(ctx.store("orders"), ctx.args["order_id"], "order")
-    ctx.session["open_order"] = order["id"]
-    return json.dumps(order, sort_keys=True)
+view_order_from_list = open_op("orders", "order_id", "order", key="open_order")
 
 
 # -- flat API; the Variant and OrderDetail screens act through on_open ----------
@@ -112,9 +108,6 @@ def add_to_cart(ctx: ToolContext) -> str:
         "quantity": ctx.args.get("quantity", 1),
     })
     return f"added to cart as {item_id}"
-
-
-PAGING = (Param("offset", "int", required=False), Param("limit", "int", required=False))
 
 
 def build() -> AppStateMachine:
