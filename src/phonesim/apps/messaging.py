@@ -76,8 +76,7 @@ def build() -> AppStateMachine:
           search_conversations),
         t("List", ToolSpec("open_conversation", (Param("conversation_id"),),
                            description="Open a conversation."), open_conversation, ("Opened",)),
-        t("Opened", ToolSpec("send_message",
-                             (Param("message"), Param("attachments", "list", required=False)),
+        t("Opened", ToolSpec("send_message", (Param("message"),),
                              description="Send a message in the open conversation."),
           on_open(send_message, "conversation_id")),
         t("Opened", ToolSpec("read_messages", PAGING, read_only=True,

@@ -26,6 +26,13 @@ def _find_variant(products: list[dict], variant_id: str) -> tuple[dict, dict] | 
     return None
 
 
+def _quantity(ctx: ToolContext, default: int) -> int:
+    quantity = ctx.args.get("quantity", default)
+    if quantity < 1:
+        raise GuardFailed(f"quantity must be at least 1, not {quantity}")
+    return quantity
+
+
 # -- screens ------------------------------------------------------------------
 
 view_product = open_op("products", "product_id", "product", key="open_product")
@@ -58,7 +65,7 @@ def refresh_variant(ctx: ToolContext) -> str:
 def remove_item(ctx: ToolContext) -> str:
     cart = ctx.store("cart")
     item = require_record(cart, ctx.args["item_id"], "cart item")
-    drop = ctx.args.get("quantity", item["quantity"])
+    drop = _quantity(ctx, item["quantity"])
     if drop >= item["quantity"]:
         cart.remove(item["id"])
         return f"removed {item['id']} from cart"
@@ -96,6 +103,7 @@ get_order = read_op("orders", "order_id", "order")
 
 def add_to_cart(ctx: ToolContext) -> str:
     variant_id = ctx.args["variant_id"]
+    quantity = _quantity(ctx, 1)
     hit = _find_variant(ctx.store("products").all(), variant_id)
     if hit is None:
         raise GuardFailed(f"no variant with id {variant_id!r}")
@@ -105,7 +113,7 @@ def add_to_cart(ctx: ToolContext) -> str:
         "product_id": product["id"],
         "name": f"{product['name']} ({variant['name']})",
         "price": variant["price"],
-        "quantity": ctx.args.get("quantity", 1),
+        "quantity": quantity,
     })
     return f"added to cart as {item_id}"
 

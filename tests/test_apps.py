@@ -11,8 +11,10 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from phonesim.apps import BUILDERS, build_app
-from phonesim.errors import PhonesimError
+from phonesim.errors import ArgumentInvalid, GuardFailed, PhonesimError
 from phonesim.events import Event
 from phonesim.interfaces import HOME
 from phonesim.world import SYSTEM_APP, World
@@ -21,7 +23,7 @@ WALK_STEPS = 4000
 USER_SHARE = 0.85   # the share of steps that are user calls; the rest are API calls
 STAY = 0.9          # the chance that a user call stays in the foreground app
 VISIT = 16          # steps per app visit
-WALK_SHA256 = "45e3adc205e4a9d11b63adbd9181e1584fc005072491c895b4ed8679dd820db9"
+WALK_SHA256 = "eb2e8f996d1275997c69654c5832142544fdc28b43641feb6d93330c5d09e4d0"
 
 SEED_RECORDS = {
     ("EmailApp", "emails"): [
@@ -215,3 +217,46 @@ def test_app_walk_transcript_is_frozen():
         every |= {("api", app_id, a.tool.name) for a in machine.api_tools}
     assert sorted(every - called) == []
     assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == WALK_SHA256
+
+
+def _world(app_id):
+    world = World("2025-06-01 09")
+    world.register_app(build_app(app_id))
+    for (store_app, store), records in SEED_RECORDS.items():
+        if store_app == app_id:
+            for record in records:
+                world.db.store(app_id, store).add(dict(record))
+    world.invoke_user_tool(f"{SYSTEM_APP}__open_app", {"app_name": app_id})
+    return world
+
+
+def test_shopping_rejects_quantities_below_one():
+    world = _world("ShoppingApp")
+    before = world.db_digest()
+    for quantity in (-3, 0):
+        with pytest.raises(GuardFailed):
+            world.invoke_agent_tool("ShoppingApp__add_to_cart",
+                                    {"variant_id": "V1", "quantity": quantity}, mode="execute")
+    world.invoke_user_tool("ShoppingApp__view_product", {"product_id": "P001"})
+    world.invoke_user_tool("ShoppingApp__view_variant", {"variant_id": "V1"})
+    with pytest.raises(GuardFailed):
+        world.invoke_user_tool("ShoppingApp__add_to_cart", {"quantity": 0})
+    world.invoke_user_tool(f"{SYSTEM_APP}__go_home", {})
+    world.invoke_user_tool(f"{SYSTEM_APP}__open_app", {"app_name": "ShoppingApp"})
+    world.invoke_user_tool("ShoppingApp__view_cart", {})
+    for quantity in (-3, 0):
+        with pytest.raises(GuardFailed):
+            world.invoke_user_tool("ShoppingApp__remove_item",
+                                   {"item_id": "CI001", "quantity": quantity})
+    assert world.db_digest() == before
+    assert world.db.store("ShoppingApp", "cart").get("CI001")["quantity"] == 2
+
+
+def test_messaging_screen_send_rejects_attachments():
+    world = _world("MessagingApp")
+    world.invoke_user_tool("MessagingApp__open_conversation", {"conversation_id": "CV001"})
+    before = world.db_digest()
+    with pytest.raises(ArgumentInvalid):
+        world.invoke_user_tool("MessagingApp__send_message",
+                               {"message": "photo", "attachments": ["a.jpg"]})
+    assert world.db_digest() == before

@@ -43,10 +43,10 @@ def test_assistant_renders_its_system_prompts_once(monkeypatch):
 # The app reference goes into every `llm:` prompt, and so into the `llm_fake`
 # benchmark. A deliberate change to it updates this digest and says so in
 # CHANGES.md; any other change here is an accident.
-APP_REFERENCE_SHA256 = "002a5259f58235d4e562ad94e13d919332541c36b11ba4569e5c400c8274f59c"
+APP_REFERENCE_SHA256 = "acc2dffdc70f2b3c3d24230a5ba7ea5af2780d17d91d1997f0896701463852ae"
 
 
 def test_app_reference_text_is_frozen():
     text = render_app_reference([build_app(app_id) for app_id in BUILDERS])
-    assert len(text) == 13_268
+    assert len(text) == 13_248
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == APP_REFERENCE_SHA256
