@@ -28,7 +28,7 @@ from .react import format_step, parse_step
 from .runner import build_world, evaluate_success, run_episode, run_oracle
 from .scenario import Scenario, load_scenario
 from .stochastic import StochasticConfig, derive_seed, run_seed
-from .turnloop import Episode, TurnBudget
+from .turnloop import Episode
 from .world import World
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "NoopPolicy", "Param", "PhonesimError", "Proposal", "ProposalLog",
     "Scenario", "ScriptedPolicy", "SimClock",
     "StochasticConfig", "Store", "ToolContext", "ToolSpec", "Transition",
-    "TurnBudget", "World", "WorldDatabase", "acceptance_rate",
+    "World", "WorldDatabase", "acceptance_rate",
     "aggregate_report", "build_world", "canonical_json", "classify_outcomes",
     "derive_seed", "digest", "evaluate_success", "format_step",
     "load_scenario", "parse_step", "proposal_rate", "run_episode",

@@ -125,9 +125,6 @@ class WorldDatabase:
     def store(self, app_id: str, name: str) -> Store:
         return self._stores[app_id][name]
 
-    def has_store(self, app_id: str, name: str) -> bool:
-        return name in self._stores.get(app_id, {})
-
     def app_stores(self, app_id: str) -> dict[str, Store]:
         return self._stores.get(app_id, {})
 

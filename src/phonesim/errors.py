@@ -77,10 +77,6 @@ class RetriesExhausted(PhonesimError):
     pass
 
 
-class AbortedEpisode(PhonesimError):
-    """A policy adapter failed; the run is recorded as unsuccessful."""
-
-
 # -- scenarios ----------------------------------------------------------------
 
 class ScenarioParseError(PhonesimError):

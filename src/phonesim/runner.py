@@ -9,7 +9,7 @@ from .errors import OracleExecutionError
 from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
 from .stochastic import StochasticConfig
-from .turnloop import Episode, TurnBudget
+from .turnloop import Episode
 from .world import World
 
 POLICY_KINDS = ("environment", "completion")
@@ -135,8 +135,8 @@ def run_episode(scenario: Scenario, user_policy, assistant_policy,
         seed=seed,
     )
     world = build_world(scenario, mode="policy", stochastic=stochastic)
-    budget = TurnBudget(max_turns=max_turns or scenario.max_turns)
-    episode = Episode(world, user_policy, assistant_policy, budget)
+    episode = Episode(world, user_policy, assistant_policy,
+                      max_turns=max_turns or scenario.max_turns)
     episode.run()
     verdict = evaluate_success(world, scenario)
 

@@ -8,8 +8,6 @@ assistant works until it reports back to the user or runs out of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EpisodeFinished,
     MalformedAction,
@@ -24,23 +22,18 @@ WAIT = "AgentUserInterface__wait"
 PROPOSE = "AgentUserInterface__propose_task"
 REPORT = "AgentUserInterface__send_message_to_user"
 
-
-@dataclass(frozen=True)
-class TurnBudget:
-    user_iters: int = 1
-    observe_iters: int = 5
-    execute_iters: int = 10
-    max_turns: int = 10
+OBSERVE_STEPS = 5      # assistant steps per turn while observing
+EXECUTE_STEPS = 10     # assistant steps per turn while executing a task
+RETRY_LIMIT = 2        # re-asks of a policy whose reply does not parse
 
 
 class Episode:
     def __init__(self, world: World, user_policy: Policy, assistant_policy: Policy,
-                 budget: TurnBudget | None = None, retry_limit: int = 2):
+                 max_turns: int = 10):
         self.world = world
         self.user_policy = user_policy
         self.assistant_policy = assistant_policy
-        self.budget = budget or TurnBudget()
-        self.retry_limit = retry_limit
+        self.max_turns = max_turns
         self.steps: list[dict] = []        # every policy step, both actors
         self.view_trace: list[dict] = []   # what each side was shown, per phase
         self.rewards: list[dict] = []      # proposal outcomes as step rewards
@@ -51,10 +44,9 @@ class Episode:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> dict:
+    def run(self) -> None:
         while not self.finished:
             self.run_turn()
-        return self.summary()
 
     def run_turn(self) -> None:
         if self.finished:
@@ -68,35 +60,35 @@ class Episode:
             return
         self._user_phase()
         if world.assistant_mode == "observe":
-            self._assistant_phase("observe", self.budget.observe_iters)
+            self._assistant_phase("observe", OBSERVE_STEPS)
         elif world.assistant_mode == "execute":
-            self._assistant_phase("execute", self.budget.execute_iters)
+            self._assistant_phase("execute", EXECUTE_STEPS)
         # awaiting_confirmation: the assistant holds still until the user decides
-        if world.completed or world.turn >= self.budget.max_turns:
+        if world.completed or world.turn >= self.max_turns:
             world.proposals.finalize(world.turn)
             self.finished = True
 
     # ------------------------------------------------------------------
 
     def _user_phase(self) -> None:
+        """The user's one action of the turn."""
         world = self.world
-        for _ in range(self.budget.user_iters):
-            view = world.compose_user_view()
-            self.view_trace.append({
-                "turn": world.turn,
-                "phase": "user",
-                "notifications": list(view.notifications),
-                "pending_proposal": view.pending_proposal,
-                "tool_names": list(view.tool_names),
-            })
-            step = self._policy_step(self.user_policy, view,
-                                     self._last_user_feedback, actor="user")
-            if step is None:
-                continue
-            observation = self._run_user_action(step)
-            self._last_user_feedback = observation
-            self._record(actor="user", phase="user", step=step,
-                         observation=observation)
+        view = world.compose_user_view()
+        self.view_trace.append({
+            "turn": world.turn,
+            "phase": "user",
+            "notifications": list(view.notifications),
+            "pending_proposal": view.pending_proposal,
+            "tool_names": list(view.tool_names),
+        })
+        step = self._policy_step(self.user_policy, view,
+                                 self._last_user_feedback, actor="user")
+        if step is None:
+            return
+        observation = self._run_user_action(step)
+        self._last_user_feedback = observation
+        self._record(actor="user", phase="user", step=step,
+                     observation=observation)
 
     def _run_user_action(self, step: Step) -> str:
         world = self.world
@@ -171,7 +163,7 @@ class Episode:
 
     def _policy_step(self, policy: Policy, view, feedback: str | None,
                      actor: str) -> Step | None:
-        for attempt in range(self.retry_limit + 1):
+        for attempt in range(RETRY_LIMIT + 1):
             raw = policy.act(view, feedback)
             try:
                 return parse_step(raw)
@@ -205,17 +197,3 @@ class Episode:
         self.aborted_reason = reason
         self.world.proposals.finalize(self.world.turn)
         self.finished = True
-
-    # ------------------------------------------------------------------
-
-    def summary(self) -> dict:
-        world = self.world
-        return {
-            "turns_used": world.turn,
-            "completed": world.completed,
-            "aborted_reason": self.aborted_reason,
-            "proposals": [p.to_dict() for p in world.proposals.proposals],
-            "read_actions_observe": world.read_actions_observe,
-            "read_actions_total": world.read_actions_total,
-            "rewards": list(self.rewards),
-        }

@@ -102,8 +102,7 @@ class World:
         self.apps[machine.app_id] = machine
         self.sessions[machine.app_id] = machine.fresh_session()
         for name, prefix in machine.stores:
-            if not self.db.has_store(machine.app_id, name):
-                self.db.create_store(machine.app_id, name, prefix)
+            self.db.create_store(machine.app_id, name, prefix)
         return machine.app_id
 
     def schedule_event(self, event: Event) -> str:

@@ -32,7 +32,7 @@ from phonesim.policies import load_script, scripted_assistant_policy, scripted_u
 from phonesim.react import format_step
 from phonesim.runner import build_world, evaluate_success
 from phonesim.stochastic import maybe_fail_tool, noise_arrival_times
-from phonesim.turnloop import Episode, TurnBudget
+from phonesim.turnloop import Episode
 from phonesim.world import AGENT_UI, SYSTEM_APP
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
@@ -318,7 +318,7 @@ def test_criterion_03_observation_asymmetry_audit():
             app="EmailApp", tool="deliver_email",
             args={"sender": "a@b.example", "subject": "s", "body": "x" * 200}))
         episode = Episode(world, FuzzUser(world, i), FuzzReader(world, 1000 + i),
-                          TurnBudget(max_turns=4))
+                          max_turns=4)
         episode.run()
 
         assistant_tools = {s["action"] for s in episode.steps
@@ -412,7 +412,7 @@ def test_criterion_04_proposal_lifecycle_model_check():
         rng_a, rng_u = random.Random(2 * i), random.Random(2 * i + 1)
         episode = InstrumentedEpisode(world, RandomResponder(rng_u),
                                       RandomProposer(rng_a),
-                                      TurnBudget(max_turns=8))
+                                      max_turns=8)
         episode.run()
         assert episode.max_pending <= 1, i
         for pair in episode.mode_pairs:
@@ -516,7 +516,7 @@ def _scripted_apartment_run(seed, stochastic_overrides=None):
         world,
         scripted_user_policy(load_script(DATA / "scripts/apartment_user.yaml")),
         scripted_assistant_policy(load_script(DATA / "scripts/apartment_assistant.yaml")),
-        TurnBudget(max_turns=scenario.max_turns))
+        max_turns=scenario.max_turns)
     episode.run()
     return scenario, world, episode
 

@@ -1,6 +1,6 @@
 from phonesim.apps import build_app
 from phonesim.policies import NoopPolicy, ScriptedPolicy, scripted_assistant_policy, scripted_user_policy
-from phonesim.turnloop import Episode, TurnBudget, WAIT
+from phonesim.turnloop import Episode, WAIT
 from phonesim.world import World
 
 
@@ -15,7 +15,7 @@ def run(user_steps, assistant_steps, max_turns=5, world=None):
     episode = Episode(world,
                       scripted_user_policy(user_steps),
                       scripted_assistant_policy(assistant_steps),
-                      TurnBudget(max_turns=max_turns))
+                      max_turns=max_turns)
     episode.run()
     return world, episode
 
@@ -98,7 +98,7 @@ def test_malformed_assistant_output_consumes_retries_then_skips():
         def act(self, view, feedback=None):
             return "this is not a step"
     world = make_world()
-    episode = Episode(world, NoopPolicy("noop"), Garbage(), TurnBudget(max_turns=1))
+    episode = Episode(world, NoopPolicy("noop"), Garbage(), max_turns=1)
     episode.run()
     errors = [s for s in episode.steps if s["phase"] == "parse-error"]
     assert len(errors) == 3 * 5  # (1 try + 2 retries) per observe iteration
@@ -111,7 +111,7 @@ def test_completion_event_ends_episode_early():
     world.schedule_event(Event(id="end", kind="completion", at=120,
                                app="", tool="", args={}))
     episode = Episode(world, NoopPolicy("noop"), NoopPolicy(WAIT),
-                      TurnBudget(max_turns=10))
+                      max_turns=10)
     episode.run()
     assert world.completed
     assert world.turn == 2
