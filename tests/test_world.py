@@ -1,9 +1,13 @@
 import copy
+import hashlib
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import phonesim.database
 from phonesim.apps import build_app
+from phonesim.database import canonical_json
 from phonesim.errors import (
     ArgumentInvalid,
     DuplicateAppId,
@@ -15,8 +19,19 @@ from phonesim.errors import (
 )
 from phonesim.events import Event
 from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
+from phonesim.policies import load_script, scripted_assistant_policy, scripted_user_policy
+from phonesim.runner import build_world, run_oracle
+from phonesim.scenario import load_scenario
 from phonesim.stochastic import StochasticConfig
+from phonesim.turnloop import Episode
 from phonesim.world import FAILURE_OBSERVATION, World
+
+DATA = Path(str(resources.files("phonesim").joinpath("data")))
+# Checkpoints of every bundled scenario, oracle and scripted, as one sha256:
+# a change to how the world is snapshot must leave it byte-identical, and a
+# deliberate change to world state updates it and says so in CHANGES.md.
+PACK_CHECKPOINTS_SHA256 = "c87befe8b2d409bdf7c5a31646d79ad5c4de460b73118bd7ad4626a4d9eb3c11"
+CELLS = ((0.0, 0.0), (2.0, 0.1), (20.0, 0.3))   # (noise_rate, failure_prob)
 
 
 def make_world(*apps, stochastic=None):
@@ -316,6 +331,33 @@ def test_checkpoint_restore_roundtrip_and_compat_guard():
     bad = dict(snap, version=999)
     with pytest.raises(IncompatibleSnapshot):
         world.restore(bad)
+
+
+def _pack_checkpoints():
+    """Canonical checkpoints of the bundled pack: each scenario's oracle run,
+    then a scripted apartment-policy episode per noise/failure cell, taken
+    after turn 3 and at the end."""
+    user = load_script(DATA / "scripts/apartment_user.yaml")
+    assistant = load_script(DATA / "scripts/apartment_assistant.yaml")
+    for path in sorted((DATA / "scenarios").glob("*.yaml")):
+        scenario = load_scenario(path)
+        yield canonical_json(run_oracle(scenario, seed=3).checkpoint())
+        for noise_rate, failure_prob in CELLS:
+            world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
+                noise_rate=noise_rate, failure_prob=failure_prob, seed=5))
+            episode = Episode(world, scripted_user_policy(user),
+                              scripted_assistant_policy(assistant),
+                              max_turns=scenario.max_turns)
+            while not episode.finished:
+                episode.run_turn()
+                if world.turn == 3:
+                    yield canonical_json(world.checkpoint())
+            yield canonical_json(world.checkpoint())
+
+
+def test_pack_checkpoints_are_frozen():
+    text = "\n".join(_pack_checkpoints()) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PACK_CHECKPOINTS_SHA256
 
 
 def test_user_actions_forwarded_to_assistant_in_order():
