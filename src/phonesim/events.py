@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from .stochastic import StochasticConfig, noise_arrival_times
@@ -27,29 +27,6 @@ class Event:
     tool: str
     args: dict = field(default_factory=dict)
     notify: str = "both"         # "both" | "user" | "assistant" | "none"
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "at": self.at,
-            "app": self.app,
-            "tool": self.tool,
-            "args": self.args,
-            "notify": self.notify,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Event":
-        return cls(
-            id=data["id"],
-            kind=data["kind"],
-            at=data["at"],
-            app=data["app"],
-            tool=data["tool"],
-            args=dict(data.get("args", {})),
-            notify=data.get("notify", "both"),
-        )
 
 
 class EventQueue:
@@ -75,7 +52,7 @@ class EventQueue:
         return len(self._heap)
 
     def to_dict(self) -> dict:
-        pending = [{"seq": seq, "event": ev.to_dict()} for _, seq, ev in sorted(self._heap)]
+        pending = [{"seq": seq, "event": asdict(ev)} for _, seq, ev in sorted(self._heap)]
         return {"pending": pending, "seq": self._seq}
 
     @classmethod
@@ -83,7 +60,7 @@ class EventQueue:
         q = cls()
         q._seq = data["seq"]
         for item in data["pending"]:
-            event = Event.from_dict(item["event"])
+            event = Event(**item["event"])
             heapq.heappush(q._heap, (event.at, item["seq"], event))
         return q
 

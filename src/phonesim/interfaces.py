@@ -30,14 +30,6 @@ class NavigationState:
     foreground: str = HOME
     background_stack: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"foreground": self.foreground, "background_stack": list(self.background_stack)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NavigationState":
-        return cls(foreground=data["foreground"],
-                   background_stack=list(data["background_stack"]))
-
 
 def navigate(nav: NavigationState, kind: str, target: str | None = None) -> NavigationState:
     """Apply one navigation action in place. Raises NavigationNotAvailable
@@ -104,13 +96,13 @@ def render_event_notification(event: Event) -> Notification:
     )
 
 
+@dataclass
 class NotificationCenter:
     """Pending per-recipient inboxes; composing a view drains them."""
 
-    def __init__(self):
-        self.user_inbox: list[str] = []
-        self.assistant_inbox: list[str] = []
-        self.user_action_feed: list[str] = []
+    user_inbox: list[str] = field(default_factory=list)
+    assistant_inbox: list[str] = field(default_factory=list)
+    user_action_feed: list[str] = field(default_factory=list)
 
     def deliver_event(self, event: Event) -> list[Notification]:
         if event.notify == "none":
@@ -140,21 +132,6 @@ class NotificationCenter:
         actions, self.user_action_feed = self.user_action_feed, []
         return notes, actions
 
-    def to_dict(self) -> dict:
-        return {
-            "user_inbox": list(self.user_inbox),
-            "assistant_inbox": list(self.assistant_inbox),
-            "user_action_feed": list(self.user_action_feed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NotificationCenter":
-        center = cls()
-        center.user_inbox = list(data["user_inbox"])
-        center.assistant_inbox = list(data["assistant_inbox"])
-        center.user_action_feed = list(data["user_action_feed"])
-        return center
-
 
 def serialize_user_action(qualified: str, args: dict, outcome: str) -> str:
     """The exact single-line format forwarded to the assistant."""
@@ -173,26 +150,12 @@ class Proposal:
     user_actions_while_pending: int = 0
     resolved_turn: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "content": self.content,
-            "created_turn": self.created_turn,
-            "status": self.status,
-            "user_actions_while_pending": self.user_actions_while_pending,
-            "resolved_turn": self.resolved_turn,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Proposal":
-        return cls(**data)
-
-
+@dataclass
 class ProposalLog:
     """All proposals of an episode; at most one may be pending."""
 
-    def __init__(self):
-        self.proposals: list[Proposal] = []
+    proposals: list[Proposal] = field(default_factory=list)
 
     def pending(self) -> Proposal | None:
         for p in self.proposals:
@@ -227,15 +190,6 @@ class ProposalLog:
         if proposal is not None:
             proposal.status = "truncated"
             proposal.resolved_turn = turn
-
-    def to_dict(self) -> dict:
-        return {"proposals": [p.to_dict() for p in self.proposals]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProposalLog":
-        log = cls()
-        log.proposals = [Proposal.from_dict(p) for p in data["proposals"]]
-        return log
 
 
 @dataclass(frozen=True)

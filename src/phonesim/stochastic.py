@@ -25,13 +25,6 @@ class StochasticConfig:
         if not 0.0 <= self.failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "noise_rate": self.noise_rate,
-            "failure_prob": self.failure_prob,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "StochasticConfig":
         return cls(

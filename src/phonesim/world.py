@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict
 
 from .clock import SimClock, parse_start_time
 from .database import WorldDatabase, digest
@@ -30,6 +31,7 @@ from .interfaces import (
     AgentView,
     NavigationState,
     NotificationCenter,
+    Proposal,
     ProposalLog,
     UserView,
     navigate,
@@ -38,6 +40,10 @@ from .interfaces import (
 from .stochastic import StochasticConfig, maybe_fail_tool
 
 SNAPSHOT_VERSION = 2
+# World attributes that hold plain JSON values; a checkpoint copies each as is.
+JSON_FIELDS = ("current_user", "sessions", "assistant_mode", "active_task", "turn",
+               "completed", "invocation_counter", "read_actions_observe",
+               "read_actions_total", "tool_log", "event_log")
 
 SYSTEM_APP = "SystemApp"
 AGENT_UI = "AgentUserInterface"
@@ -386,21 +392,11 @@ class World:
             "clock": self.clock.to_dict(),
             "db": self.db.dump(),
             "queue": self.queue.to_dict(),
-            "stochastic": self.stochastic.to_dict(),
-            "current_user": self.current_user,
-            "sessions": self.sessions,
-            "nav": self.nav.to_dict(),
-            "notifications": self.notifications.to_dict(),
-            "proposals": self.proposals.to_dict(),
-            "assistant_mode": self.assistant_mode,
-            "active_task": self.active_task,
-            "turn": self.turn,
-            "completed": self.completed,
-            "invocation_counter": self.invocation_counter,
-            "read_actions_observe": self.read_actions_observe,
-            "read_actions_total": self.read_actions_total,
-            "tool_log": self.tool_log,
-            "event_log": self.event_log,
+            "stochastic": asdict(self.stochastic),
+            "nav": asdict(self.nav),
+            "notifications": asdict(self.notifications),
+            "proposals": asdict(self.proposals),
+            **{name: getattr(self, name) for name in JSON_FIELDS},
         })
 
     def restore(self, snapshot: dict) -> None:
@@ -416,19 +412,11 @@ class World:
         self.clock = SimClock.from_dict(snapshot["clock"])
         self.db.load(snapshot["db"])
         self.queue = EventQueue.from_dict(snapshot["queue"])
-        self.stochastic = StochasticConfig.from_dict(snapshot["stochastic"])
-        self.current_user = snapshot["current_user"]
-        self.sessions = snapshot["sessions"]
-        self.nav = NavigationState.from_dict(snapshot["nav"])
-        self.notifications = NotificationCenter.from_dict(snapshot["notifications"])
-        self.proposals = ProposalLog.from_dict(snapshot["proposals"])
-        self.assistant_mode = snapshot["assistant_mode"]
-        self.active_task = snapshot["active_task"]
-        self.turn = snapshot["turn"]
-        self.completed = snapshot["completed"]
-        self.invocation_counter = snapshot["invocation_counter"]
-        self.read_actions_observe = snapshot["read_actions_observe"]
-        self.read_actions_total = snapshot["read_actions_total"]
-        self.tool_log = snapshot["tool_log"]
-        self.event_log = snapshot["event_log"]
+        self.stochastic = StochasticConfig(**snapshot["stochastic"])
+        self.nav = NavigationState(**snapshot["nav"])
+        self.notifications = NotificationCenter(**snapshot["notifications"])
+        self.proposals = ProposalLog(
+            [Proposal(**p) for p in snapshot["proposals"]["proposals"]])
+        for name in JSON_FIELDS:
+            setattr(self, name, snapshot[name])
 

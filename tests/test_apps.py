@@ -10,6 +10,7 @@ says so in CHANGES.md.
 import hashlib
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -204,7 +205,7 @@ def _walk(steps, seed):
             result = {"error": [type(exc).__name__, str(exc)]}
         lines.append(json.dumps({"step": step, "call": call, **result,
                                  "db": world.db_digest(), "sessions": world.sessions,
-                                 "nav": world.nav.to_dict()}, sort_keys=True))
+                                 "nav": asdict(world.nav)}, sort_keys=True))
     return "\n".join(lines) + "\n", called
 
 
