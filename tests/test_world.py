@@ -333,6 +333,31 @@ def test_checkpoint_restore_roundtrip_and_compat_guard():
         world.restore(bad)
 
 
+def test_restore_reproduces_the_checkpoint_bytes():
+    world = make_world("EmailApp", "MessagingApp",
+                       stochastic=StochasticConfig(noise_rate=2, failure_prob=0, seed=1))
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
+    world.invoke_user_tool("SystemApp__go_home", {})                  # EmailApp to the background
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "MessagingApp"})
+    world.schedule_event(Event(id="now", kind="environment", at=30,
+                               app="MessagingApp", tool="receive_message",
+                               args={"sender": "Sam", "message": "hi"}))
+    world.schedule_event(Event(id="later", kind="environment", at=600,
+                               app="EmailApp", tool="deliver_email",
+                               args={"sender": "a", "subject": "s", "body": "b"}))
+    world.turn += 1
+    world.resolve_due_events()                                        # notifications not drained
+    world.post_proposal("reply to Sam")
+    world.invoke_user_tool("MessagingApp__list_recent_conversations", {})   # while pending
+    assert world.notifications.user_inbox and world.notifications.assistant_inbox
+    assert world.proposals.pending().user_actions_while_pending == 1
+    assert world.nav.background_stack == ["EmailApp"] and len(world.queue) == 1
+
+    before = canonical_json(world.checkpoint())
+    world.restore(world.checkpoint())
+    assert canonical_json(world.checkpoint()) == before
+
+
 def _pack_checkpoints():
     """Canonical checkpoints of the bundled pack: each scenario's oracle run,
     then a scripted apartment-policy episode per noise/failure cell, taken
