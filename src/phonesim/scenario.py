@@ -18,6 +18,7 @@ from .apps import BUILDERS, build_app
 from .errors import ArgumentInvalid, ScenarioParseError, SchemaError
 from .events import Event
 from .fsm import AppStateMachine
+from .stochastic import StochasticConfig
 from .yamlfile import load_yaml
 
 SCHEMA_VERSION = 1
@@ -34,6 +35,7 @@ OPS = {
 }
 CHECKS = ("count", "all", "any", "none")
 ACTORS = ("user", "assistant", "environment", "any")
+STOCHASTIC_KEYS = ("noise_rate", "failure_prob", "seed")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,20 @@ def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
                  app=app, tool=tool, args=args, notify=notify)
 
 
+def _parse_stochastic(data, where: str) -> dict:
+    """The raw `stochastic:` block, checked by building its config once."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a mapping")
+    unknown = [key for key in data if key not in STOCHASTIC_KEYS]
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}; allowed: {list(STOCHASTIC_KEYS)}")
+    try:
+        StochasticConfig.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    return dict(data)
+
+
 def _parse_criterion(data: dict, index: int) -> Criterion:
     where = f"validation[{index}]"
     if not isinstance(data, dict):
@@ -220,7 +236,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         assistant_instructions=data.get("assistant_instructions", ""),
         max_turns=int(data.get("max_turns", 10)),
         tick_seconds=int(data.get("tick_seconds", 60)),
-        stochastic=dict(data.get("stochastic", {})),
+        stochastic=_parse_stochastic(data.get("stochastic", {}), f"{source}.stochastic"),
         machines={app: build_app(app) for app in apps},
     )
     _check_payloads(scenario, source)

@@ -55,6 +55,16 @@ def messaging_doc():
     }
 
 
+@pytest.mark.parametrize("block", [None, 4, {"noise_rate": -1}, {"failure_prob": 2},
+                                   {"seed": "x"}, {"noise": 4}],
+                         ids=["null", "number", "negative_noise", "failure_above_one",
+                              "text_seed", "misspelt_key"])
+def test_bad_stochastic_block_is_a_schema_error(block):
+    doc = dict(base_doc(), stochastic=block)
+    with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic: "):
+        parse_scenario(doc)
+
+
 def test_worlds_do_not_share_init_records():
     scenario = parse_scenario(messaging_doc())
     init = copy.deepcopy(scenario.init)
