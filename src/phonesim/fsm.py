@@ -143,7 +143,7 @@ class AppStateMachine:
         return [a for a in self.api_tools if not a.tool.environment_only]
 
     def fresh_session(self) -> dict:
-        return {"state": self.initial_state, "ctx": {}}
+        return {"state": self.initial_state}
 
 
 def validate_state_machine(machine: AppStateMachine) -> dict:

@@ -24,7 +24,7 @@ WALK_STEPS = 4000
 USER_SHARE = 0.85   # the share of steps that are user calls; the rest are API calls
 STAY = 0.9          # the chance that a user call stays in the foreground app
 VISIT = 16          # steps per app visit
-WALK_SHA256 = "eb2e8f996d1275997c69654c5832142544fdc28b43641feb6d93330c5d09e4d0"
+WALK_SHA256 = "64e02975ced20989d926955f7063ccd9f7d27b73973d27001a55f7b304d6f0dc"
 
 SEED_RECORDS = {
     ("EmailApp", "emails"): [

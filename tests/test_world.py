@@ -30,7 +30,7 @@ DATA = Path(str(resources.files("phonesim").joinpath("data")))
 # Checkpoints of every bundled scenario, oracle and scripted, as one sha256:
 # a change to how the world is snapshot must leave it byte-identical, and a
 # deliberate change to world state updates it and says so in CHANGES.md.
-PACK_CHECKPOINTS_SHA256 = "c87befe8b2d409bdf7c5a31646d79ad5c4de460b73118bd7ad4626a4d9eb3c11"
+PACK_CHECKPOINTS_SHA256 = "7e325fa05beba6f77fd12be28ce9eebd4558df58b0e1b9b0e3b8d2683c34496b"
 CELLS = ((0.0, 0.0), (2.0, 0.1), (20.0, 0.3))   # (noise_rate, failure_prob)
 
 
