@@ -17,6 +17,8 @@ from .errors import PhonesimError
 from .fsm import render_app_reference
 from .metrics import aggregate_report
 from .policies import (
+    NOOP_ACTION,
+    WAIT_ACTION,
     NoopPolicy,
     load_script,
     scripted_assistant_policy,
@@ -26,7 +28,6 @@ from .report import render_csv, render_json, render_table
 from .runner import evaluate_success, run_episode, run_oracle
 from .scenario import Scenario, load_scenario
 from .stochastic import run_seed
-from .turnloop import WAIT
 
 
 def _collect_scenarios(path_args: list[str]) -> list[Path]:
@@ -56,7 +57,7 @@ def _policy_factory(spec: str, side: str, scenario: Scenario):
 
     kind, _, arg = spec.partition(":")
     if kind == "noop":
-        idle = WAIT if side == "assistant" else "noop"
+        idle = WAIT_ACTION if side == "assistant" else NOOP_ACTION
         return lambda: NoopPolicy(idle)
     if kind == "scripted":
         steps = load_script(arg)

@@ -23,8 +23,8 @@ class SimClock:
         self.now += self.tick
         return self.now
 
-    def wall(self, at: float | None = None) -> datetime:
-        return self.start_time + timedelta(seconds=self.now if at is None else at)
+    def wall(self) -> datetime:
+        return self.start_time + timedelta(seconds=self.now)
 
     def render(self) -> str:
         """Current time as 'YYYY-MM-DD HH:MM' for tool output and prompts."""

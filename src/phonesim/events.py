@@ -14,14 +14,12 @@ from importlib import resources
 
 from .stochastic import StochasticConfig, noise_arrival_times
 
-EVENT_KINDS = ("environment", "oracle_user", "oracle_agent", "noise", "completion")
-
 
 # Frozen: every world and thread that runs a scenario shares its events.
 @dataclass(frozen=True)
 class Event:
     id: str
-    kind: str                    # one of EVENT_KINDS
+    kind: str                    # environment | oracle_user | oracle_agent | noise | completion
     at: float                    # seconds since scenario start
     app: str
     tool: str
@@ -73,16 +71,14 @@ def load_distractor_catalog() -> list[dict]:
 def sample_noise_events(
     cfg: StochasticConfig,
     horizon: float,
-    allowed_apps: set[str] | None = None,
+    allowed_apps: set[str],
 ) -> list[Event]:
     """Poisson-scheduled distractor events, cycled round-robin through the
     catalog entries whose target app is registered in the scenario."""
     times = noise_arrival_times(cfg, horizon)
     if not times:
         return []
-    catalog = load_distractor_catalog()
-    if allowed_apps is not None:
-        catalog = [entry for entry in catalog if entry["app"] in allowed_apps]
+    catalog = [entry for entry in load_distractor_catalog() if entry["app"] in allowed_apps]
     if not catalog:
         return []
     events = []

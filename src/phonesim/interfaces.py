@@ -69,8 +69,6 @@ def navigate(nav: NavigationState, kind: str, target: str | None = None) -> Navi
 
 @dataclass(frozen=True)
 class Notification:
-    source_event: str
-    recipient: str                 # "user" | "assistant" | "both"
     user_rendering: str
     assistant_rendering: str
 
@@ -88,12 +86,7 @@ def render_event_notification(event: Event) -> Notification:
     banner = " | ".join(parts)
     if len(banner) > TRUNCATION_BUDGET:
         banner = banner[:TRUNCATION_BUDGET - len(ELLIPSIS)] + ELLIPSIS
-    return Notification(
-        source_event=event.id,
-        recipient=event.notify,
-        user_rendering=banner,
-        assistant_rendering=full,
-    )
+    return Notification(user_rendering=banner, assistant_rendering=full)
 
 
 @dataclass
@@ -104,15 +97,14 @@ class NotificationCenter:
     assistant_inbox: list[str] = field(default_factory=list)
     user_action_feed: list[str] = field(default_factory=list)
 
-    def deliver_event(self, event: Event) -> list[Notification]:
+    def deliver_event(self, event: Event) -> None:
         if event.notify == "none":
-            return []
+            return
         note = render_event_notification(event)
         if event.notify in ("user", "both"):
             self.user_inbox.append(note.user_rendering)
         if event.notify in ("assistant", "both"):
             self.assistant_inbox.append(note.assistant_rendering)
-        return [note]
 
     def notify_user_action(self, line: str) -> None:
         self.user_action_feed.append(line)

@@ -14,11 +14,10 @@ from .errors import (
     PhonesimError,
     ProposalAlreadyPending,
 )
-from .policies import Policy
+from .policies import NOOP_ACTION, WAIT_ACTION, Policy
 from .react import Step, parse_step
 from .world import World
 
-WAIT = "AgentUserInterface__wait"
 PROPOSE = "AgentUserInterface__propose_task"
 REPORT = "AgentUserInterface__send_message_to_user"
 
@@ -92,6 +91,8 @@ class Episode:
 
     def _run_user_action(self, step: Step) -> str:
         world = self.world
+        if step.action == NOOP_ACTION:
+            return "did nothing"
         try:
             outcome = world.invoke_user_tool(step.action, step.action_input)
         except PhonesimError as exc:
@@ -133,7 +134,7 @@ class Episode:
 
     def _run_agent_action(self, step: Step, mode: str) -> tuple[str, bool]:
         world = self.world
-        if step.action == WAIT or step.action == "noop":
+        if step.action in (WAIT_ACTION, NOOP_ACTION):
             return "waiting", True
         if step.action == PROPOSE:
             if mode != "observe":

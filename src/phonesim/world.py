@@ -179,8 +179,6 @@ class World:
 
     def invoke_user_tool(self, qualified: str, args: dict | None = None) -> str:
         args = dict(args or {})
-        if qualified == "noop":
-            return "did nothing"
         app_id, _, tool_name = qualified.partition("__")
         if not tool_name:
             raise ToolNotAvailableInState(

@@ -1,6 +1,12 @@
 from phonesim.apps import build_app
-from phonesim.policies import NoopPolicy, ScriptedPolicy, scripted_assistant_policy, scripted_user_policy
-from phonesim.turnloop import Episode, WAIT
+from phonesim.policies import (
+    WAIT_ACTION,
+    NoopPolicy,
+    ScriptedPolicy,
+    scripted_assistant_policy,
+    scripted_user_policy,
+)
+from phonesim.turnloop import Episode
 from phonesim.world import World
 
 
@@ -110,7 +116,7 @@ def test_completion_event_ends_episode_early():
     world = make_world()
     world.schedule_event(Event(id="end", kind="completion", at=120,
                                app="", tool="", args={}))
-    episode = Episode(world, NoopPolicy("noop"), NoopPolicy(WAIT),
+    episode = Episode(world, NoopPolicy("noop"), NoopPolicy(WAIT_ACTION),
                       max_turns=10)
     episode.run()
     assert world.completed
