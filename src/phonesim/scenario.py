@@ -150,9 +150,13 @@ def _parse_stochastic(data, where: str) -> dict:
     unknown = [key for key in data if key not in STOCHASTIC_KEYS]
     if unknown:
         raise SchemaError(f"{where}: unknown keys {unknown}; allowed: {list(STOCHASTIC_KEYS)}")
+    for key, value in data.items():
+        kind, what = (int, "an integer") if key == "seed" else ((int, float), "a number")
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaError(f"{where}.{key}: expected {what}, got {value!r}")
     try:
         StochasticConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     return dict(data)
 

@@ -56,12 +56,13 @@ def messaging_doc():
 
 
 @pytest.mark.parametrize("block", [None, 4, {"noise_rate": -1}, {"failure_prob": 2},
-                                   {"seed": "x"}, {"noise": 4}],
+                                   {"seed": "x"}, {"noise": 4}, {"failure_prob": "0.5"},
+                                   {"seed": 1.9}],
                          ids=["null", "number", "negative_noise", "failure_above_one",
-                              "text_seed", "misspelt_key"])
+                              "text_seed", "misspelt_key", "text_failure", "fractional_seed"])
 def test_bad_stochastic_block_is_a_schema_error(block):
     doc = dict(base_doc(), stochastic=block)
-    with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic: "):
+    with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic[.:]"):
         parse_scenario(doc)
 
 
