@@ -4,6 +4,13 @@ Records are plain JSON-serializable dicts so snapshots, digests, and replay
 comparisons are byte-exact. All mutation flows through tool handlers; nothing
 else writes here.
 
+Records are listed in record order: by the key `(len(id), id)`. Ids of one
+length list in string order, and ids from `Store.next_id` in numeric order,
+so `E1000` follows `E999`. `Store.records` itself is kept in that order, so
+`all` and `find` read it without sorting. An add whose id sorts before the
+last one, a rollback that puts a removed record back, and a load from a
+snapshot mark the store unsorted; the next `all` or `find` sorts it once.
+
 A write that fails is rolled back through a per-call undo journal, not a
 copy of the app's stores. `WorldDatabase.copy_app` opens a journal on each
 store of the app. While it is open, `get`, `remove`, `add`, `find` and `all`
@@ -32,12 +39,17 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def record_order(record_id: str) -> tuple[int, str]:
+    return len(record_id), record_id
+
+
 class Store:
     """A keyed record collection with deterministic id assignment."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
-        self.records: dict[str, dict] = {}
+        self.records: dict[str, dict] = {}   # in record order while `ordered`
+        self.ordered = True
         self.counter = 0
         # record id -> prior value (a deep copy, or None if it did not exist),
         # kept while a write is open; None otherwise.
@@ -53,6 +65,9 @@ class Store:
             raise SeedDataInvalid(f"duplicate record id {rid!r}")
         if self.undo is not None:
             self._save(rid)
+        if self.ordered and self.records and (
+                record_order(rid) < record_order(next(reversed(self.records)))):
+            self.ordered = False
         record = dict(record)
         record["id"] = rid
         self.records[rid] = record
@@ -68,16 +83,24 @@ class Store:
             self._save(record_id)
         return self.records.pop(record_id, None)
 
+    def _listing(self) -> list[dict]:
+        """Every record, in record order."""
+        if not self.ordered:
+            self.records = {k: self.records[k] for k in sorted(self.records, key=record_order)}
+            self.ordered = True
+        return list(self.records.values())
+
     def all(self) -> list[dict]:
-        out = [self.records[k] for k in sorted(self.records)]
+        out = self._listing()
         if self.undo is not None:
             for rec in out:
                 self._save(rec["id"])
         return out
 
     def find(self, **fields) -> list[dict]:
-        out = [rec for rec in (self.records[k] for k in sorted(self.records))
-               if all(rec.get(k) == v for k, v in fields.items())]
+        out = self._listing()
+        for name, value in fields.items():
+            out = [rec for rec in out if rec.get(name) == value]
         if self.undo is not None:
             for rec in out:
                 self._save(rec["id"])
@@ -95,6 +118,8 @@ class Store:
             if prior is None:
                 self.records.pop(rid, None)
             else:
+                if rid not in self.records:       # re-inserted at the end
+                    self.ordered = False
                 self.records[rid] = prior
         self.undo = {}
 
@@ -109,6 +134,7 @@ class Store:
         store = cls(data["prefix"])
         store.counter = data["counter"]
         store.records = {k: dict(v) for k, v in data["records"].items()}
+        store.ordered = False                     # snapshots sort their keys as strings
         return store
 
 

@@ -7,6 +7,7 @@ scenario loads. Same-time events deliver FIFO by insertion sequence.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import asdict, dataclass, field
@@ -63,7 +64,10 @@ class EventQueue:
         return q
 
 
+@functools.cache
 def load_distractor_catalog() -> list[dict]:
+    """The bundled distractor catalog, read once per process. Callers share
+    the parsed entries and must not change them."""
     text = resources.files("phonesim").joinpath("data/distractors.json").read_text("utf-8")
     return json.loads(text)
 
@@ -74,7 +78,9 @@ def sample_noise_events(
     allowed_apps: set[str],
 ) -> list[Event]:
     """Poisson-scheduled distractor events, cycled round-robin through the
-    catalog entries whose target app is registered in the scenario."""
+    catalog entries whose target app is registered in the scenario. Events
+    of one entry share its `args` dict, which no one mutates: `Event` is
+    frozen and handlers get a copy."""
     times = noise_arrival_times(cfg, horizon)
     if not times:
         return []
@@ -91,7 +97,7 @@ def sample_noise_events(
                 at=t,
                 app=entry["app"],
                 tool=entry["tool"],
-                args=dict(entry["args"]),
+                args=entry["args"],
             )
         )
     return events

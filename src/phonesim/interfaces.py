@@ -97,13 +97,12 @@ class NotificationCenter:
     assistant_inbox: list[str] = field(default_factory=list)
     user_action_feed: list[str] = field(default_factory=list)
 
-    def deliver_event(self, event: Event) -> None:
-        if event.notify == "none":
-            return
-        note = render_event_notification(event)
-        if event.notify in ("user", "both"):
+    def deliver(self, note: Notification, notify: str) -> None:
+        """Route an event's rendered notification to the recipients that
+        `notify` names ("both", "user", "assistant" or "none")."""
+        if notify in ("user", "both"):
             self.user_inbox.append(note.user_rendering)
-        if event.notify in ("assistant", "both"):
+        if notify in ("assistant", "both"):
             self.assistant_inbox.append(note.assistant_rendering)
 
     def notify_user_action(self, line: str) -> None:

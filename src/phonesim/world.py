@@ -25,16 +25,18 @@ from .errors import (
     WriteInObserveMode,
 )
 from .events import Event, EventQueue
-from .fsm import AppStateMachine, Param, ToolContext, ToolSpec, require_valid
+from .fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, require_valid
 from .interfaces import (
     HOME,
     AgentView,
     NavigationState,
+    Notification,
     NotificationCenter,
     Proposal,
     ProposalLog,
     UserView,
     navigate,
+    render_event_notification,
     serialize_user_action,
 )
 from .stochastic import StochasticConfig, maybe_fail_tool
@@ -97,6 +99,9 @@ class World:
 
         self.tool_log: list[dict] = []        # every successful tool application
         self.event_log: list[dict] = []       # every resolved event
+        # (app, tool, id(args)) -> (args, api tool, args digest, notification);
+        # see `_payload`. Not part of a checkpoint.
+        self._payloads: dict[tuple[str, str, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Registration and scheduling
@@ -125,16 +130,33 @@ class World:
             resolved.append(event)
         return resolved
 
+    def _payload(self, event: Event) -> tuple[ApiTool | None, str, Notification]:
+        """The work that depends only on an event's payload, done once per
+        payload: the checked API tool (None for a completion), the args
+        digest and the rendered notification. Noise events of one catalog
+        entry share their args dict, so they share one memo entry; the entry
+        holds that dict, so its id is not reused while the memo lives. A
+        failed lookup or argument check is not memoised and raises again."""
+        key = (event.app, event.tool, id(event.args))
+        memo = self._payloads.get(key)
+        if memo is None:
+            api = None
+            if event.kind != "completion" and (event.app or event.tool):
+                machine = self.apps.get(event.app)
+                api = machine.api_tool(event.tool) if machine else None
+                if api is None:
+                    raise PayloadToolMissing(
+                        f"event {event.id!r} targets unknown tool {event.app}__{event.tool}")
+                api.tool.validate_args(event.args)
+            memo = self._payloads[key] = (event.args, api, digest(event.args),
+                                          render_event_notification(event))
+        return memo[1:]
+
     def _apply_event(self, event: Event) -> None:
+        api, args_digest, note = self._payload(event)
         if event.kind == "completion":
             self.completed = True
-        elif event.app or event.tool:
-            machine = self.apps.get(event.app)
-            api = machine.api_tool(event.tool) if machine else None
-            if api is None:
-                raise PayloadToolMissing(
-                    f"event {event.id!r} targets unknown tool {event.app}__{event.tool}")
-            api.tool.validate_args(event.args)
+        elif api is not None:
             ctx = ToolContext(db=self.db, app_id=event.app, clock=self.clock,
                               session={}, args=dict(event.args),
                               current_user=self.current_user)
@@ -150,9 +172,9 @@ class World:
             "kind": event.kind,
             "app": event.app,
             "tool": event.tool,
-            "args_digest": digest(event.args),
+            "args_digest": args_digest,
         })
-        self.notifications.deliver_event(event)
+        self.notifications.deliver(note, event.notify)
 
     # ------------------------------------------------------------------
     # User side
@@ -407,6 +429,7 @@ class World:
                 f"snapshot apps {snapshot.get('app_ids')} do not match the "
                 f"registered apps {sorted(self.apps)}")
         snapshot = copy.deepcopy(snapshot)
+        self._payloads = {}
         self.clock = SimClock.from_dict(snapshot["clock"])
         self.db.load(snapshot["db"])
         self.queue = EventQueue.from_dict(snapshot["queue"])

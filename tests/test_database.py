@@ -1,5 +1,10 @@
-import pytest
+import builtins
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import phonesim.database
 from phonesim.database import Store, WorldDatabase, canonical_json, digest
 from phonesim.errors import SeedDataInvalid
 
@@ -49,3 +54,148 @@ def test_copy_restore_app_rolls_back_writes():
     db.restore_app("EmailApp", saved)
     assert [r["subject"] for r in db.store("EmailApp", "emails").all()] == ["keep"]
     assert db.store("EmailApp", "emails").get("E001")["labels"] == []
+
+
+# -- record order: (len(id), id), kept by the store rather than sorted per read
+
+def record_order(record_id):
+    return len(record_id), record_id
+
+
+def _ids(records):
+    return [rec["id"] for rec in records]
+
+
+def _generated(n, prefix="E"):
+    store = Store(prefix)
+    for i in range(n):
+        store.add({"n": i, "even": i % 2 == 0})
+    return store
+
+
+def test_generated_ids_past_999_list_in_numeric_order():
+    store = _generated(1001)
+    assert _ids(store.all())[-3:] == ["E999", "E1000", "E1001"]
+    assert _ids(store.all())[99:101] == ["E100", "E101"]
+    assert _ids(store.find(even=True))[-2:] == ["E999", "E1001"]
+
+
+def test_explicit_out_of_order_ids_list_in_record_order():
+    store = Store("B")
+    for rid in ("B002", "B1000", "B001", "B999"):
+        store.add({}, record_id=rid)
+    assert _ids(store.all()) == ["B001", "B002", "B999", "B1000"]
+    store.add({}, record_id="B0001")
+    assert _ids(store.find()) == ["B001", "B002", "B999", "B0001", "B1000"]
+
+
+def test_rolled_back_remove_puts_the_record_back_in_its_place():
+    db = WorldDatabase()
+    db.create_store("EmailApp", "emails", "E")
+    store = db.store("EmailApp", "emails")
+    for i in range(1001):
+        store.add({"n": i})
+    before = _ids(store.all())
+    saved = db.copy_app("EmailApp")
+    store.remove("E1000")
+    store.remove(store.get("E500")["id"])
+    db.restore_app("EmailApp", saved)
+    db.close_app("EmailApp")
+    assert _ids(store.all()) == before
+    assert _ids(store.all())[-2:] == ["E1000", "E1001"]
+
+
+def test_snapshot_roundtrip_keeps_record_order():
+    store = _generated(1001)
+    snapshot = json.loads(json.dumps(store.to_dict(), sort_keys=True))
+    assert _ids(Store.from_dict(snapshot).all()) == _ids(store.all())
+    assert _ids(Store.from_dict(snapshot).find(even=False))[-1] == "E1000"
+
+
+# One step of a store's life. ("add", id) adds a record (id None: from
+# next_id); ("remove", k) removes the k-th record; ("rollback", steps) runs
+# the steps under a journal and rolls them back; ("load",) reloads the store
+# from a sort_keys snapshot.
+_ADD = st.tuples(st.just("add"), st.none() | st.from_regex(r"E[0-9]{1,4}", fullmatch=True))
+_REMOVE = st.tuples(st.just("remove"), st.integers(0, 2000))
+_STEPS = st.lists(st.one_of(
+    _ADD, _REMOVE, st.just(("load",)),
+    st.tuples(st.just("rollback"), st.lists(st.one_of(_ADD, _REMOVE), max_size=6)),
+), max_size=40)
+
+
+def _step(db, step):
+    store = db.store("EmailApp", "emails")
+    if step[0] == "add":
+        rid = step[1] or f"E{store.counter + 1:03d}"
+        if rid not in store.records:
+            store.add({"odd": len(store) % 2}, record_id=step[1])
+        elif step[1] is None:
+            store.counter += 1                      # next_id would give a taken id
+    elif step[0] == "remove" and len(store):
+        store.remove(list(store.records)[step[1] % len(store)])
+    elif step[0] == "load":
+        db.load(json.loads(json.dumps(db.dump(), sort_keys=True)))
+    elif step[0] == "rollback":
+        saved = db.copy_app("EmailApp")
+        for inner in step[1]:
+            _step(db, inner)
+        db.restore_app("EmailApp", saved)
+        db.close_app("EmailApp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_STEPS)
+def test_reads_list_records_in_record_order(steps):
+    db = WorldDatabase()
+    db.create_store("EmailApp", "emails", "E")
+    for step in steps:
+        _step(db, step)
+        store = db.store("EmailApp", "emails")
+        expected = sorted(store.records, key=record_order)
+        assert _ids(store.all()) == expected
+        assert _ids(store.find(odd=1)) == [
+            rid for rid in expected if store.records[rid]["odd"] == 1]
+
+
+def test_reads_sort_only_after_an_out_of_order_add_a_rollback_or_a_load(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return builtins.sorted(*args, **kwargs)
+
+    monkeypatch.setattr(phonesim.database, "sorted", counting, raising=False)
+
+    def sorts_per_read():
+        calls.clear()
+        store.all(), store.find(even=True), store.all()
+        return len(calls)
+
+    db = WorldDatabase()
+    db.create_store("EmailApp", "emails", "E")
+    store = db.store("EmailApp", "emails")
+    for i in range(1001):
+        store.add({"even": i % 2 == 0})
+    store.remove("E500")
+    store.add({}, record_id="E5000")
+    assert sorts_per_read() == 0
+
+    store.add({}, record_id="E0500")                 # sorts before E5000
+    assert sorts_per_read() == 1
+
+    saved = db.copy_app("EmailApp")
+    store.get("E002")["even"] = None                 # changed in place: no re-insert
+    db.restore_app("EmailApp", saved)
+    db.close_app("EmailApp")
+    assert sorts_per_read() == 0
+
+    saved = db.copy_app("EmailApp")
+    store.remove(store.get("E003")["id"])
+    db.restore_app("EmailApp", saved)
+    db.close_app("EmailApp")
+    assert sorts_per_read() == 1
+
+    db.load(json.loads(json.dumps(db.dump(), sort_keys=True)))
+    store = db.store("EmailApp", "emails")
+    assert sorts_per_read() == 1

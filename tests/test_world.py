@@ -1,13 +1,15 @@
 import copy
 import hashlib
+import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import phonesim.database
+import phonesim.world
 from phonesim.apps import build_app
-from phonesim.database import canonical_json
+from phonesim.database import canonical_json, digest
 from phonesim.errors import (
     ArgumentInvalid,
     DuplicateAppId,
@@ -17,11 +19,12 @@ from phonesim.errors import (
     ToolNotAvailableInState,
     WriteInObserveMode,
 )
-from phonesim.events import Event
+from phonesim.events import Event, load_distractor_catalog, sample_noise_events
 from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
+from phonesim.interfaces import render_event_notification
 from phonesim.policies import load_script, scripted_assistant_policy, scripted_user_policy
 from phonesim.runner import build_world, run_oracle
-from phonesim.scenario import load_scenario
+from phonesim.scenario import load_scenario, parse_scenario
 from phonesim.stochastic import StochasticConfig
 from phonesim.turnloop import Episode
 from phonesim.world import FAILURE_OBSERVATION, World
@@ -395,3 +398,126 @@ def test_user_actions_forwarded_to_assistant_in_order():
     assert view.user_actions[1].startswith("[user_action] EmailApp__list_emails(")
     # drained: a second compose sees nothing new
     assert world.compose_agent_view().user_actions == ()
+
+
+# -- the event path does its payload work once per payload
+
+NOISY = {
+    "schema_version": 1, "id": "noisy", "apps": ["EmailApp", "MessagingApp"],
+    "start_time": "2025-05-12 08", "max_turns": 200, "tick_seconds": 60,
+    "init": {"MessagingApp": {"conversations": [
+        {"title": "Sam", "participants": ["sam", "user"], "messages": []}]}},
+    "validation": [{"kind": "action_forbidden", "tool": "EmailApp__send_email"}],
+}
+NOISE = StochasticConfig(noise_rate=20, failure_prob=0.1, seed=9)
+
+
+def _noisy_episode():
+    """A read-only 200-turn episode under 20 noise events a minute, in the
+    style of the benchmark's long_noisy workload."""
+    user = [{"action": "SystemApp__open_app", "action_input": {"app_name": "EmailApp"}},
+            {"action": "EmailApp__list_emails", "action_input": {"offset": 30, "limit": 10}},
+            {"action": "EmailApp__search_emails", "action_input": {"query": "sale"}},
+            {"action": "SystemApp__go_home"}] * 50
+    assistant = [{"action": "EmailApp__list_emails", "action_input": {"folder": "inbox"}},
+                 {"action": "AgentUserInterface__wait"},
+                 {"action": "EmailApp__search_emails", "action_input": {"query": "miles"}},
+                 {"action": "AgentUserInterface__wait"},
+                 {"action": "MessagingApp__list_conversations"},
+                 {"action": "AgentUserInterface__wait"}] * 67
+    world = build_world(parse_scenario(NOISY), stochastic=NOISE)
+    episode = Episode(world, scripted_user_policy(user), scripted_assistant_policy(assistant),
+                      max_turns=NOISY["max_turns"])
+    episode.run()
+    return world
+
+
+def test_noisy_episode_does_event_work_once_per_payload_and_never_sorts(monkeypatch):
+    rendered, digested, sorts = [], [], []
+    real_render, real_digest = render_event_notification, digest
+
+    def render(event):
+        rendered.append(id(event.args))
+        return real_render(event)
+
+    def digest_args(obj):
+        digested.append(id(obj))
+        return real_digest(obj)
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(phonesim.world, "render_event_notification", render)
+    monkeypatch.setattr(phonesim.world, "digest", digest_args)
+    monkeypatch.setattr(phonesim.database, "sorted", counting_sorted, raising=False)
+    world = _noisy_episode()
+    assert len(world.event_log) > 3000
+    assert len(world.db.store("EmailApp", "emails")) > 1000
+    assert len(rendered) == len(set(rendered)) <= 20
+    assert len(digested) == len(set(digested)) <= 20
+    assert sorts == []
+
+
+def test_noisy_episode_leaves_the_distractor_catalog_as_loaded():
+    _noisy_episode()
+    fresh = json.loads(DATA.joinpath("distractors.json").read_text("utf-8"))
+    assert load_distractor_catalog() == fresh
+
+
+def test_memoised_events_log_and_notify_as_rendered_per_event():
+    world = make_world("EmailApp", "MessagingApp")
+    events = sample_noise_events(NOISE, 1800, {"EmailApp", "MessagingApp"})
+    mail = {"sender": "a", "subject": "s", "body": "b"}
+    events += [Event(id=f"mail-{notify}", kind="environment", at=600, app="EmailApp",
+                     tool="deliver_email", args=mail, notify=notify)
+               for notify in ("user", "assistant", "none", "both")]
+    for event in events:
+        world.schedule_event(event)
+    resolved = []
+    for _ in range(30):
+        resolved += world.resolve_due_events()
+    assert len(resolved) > 500
+    notes = [render_event_notification(event) for event in resolved]
+    assert world.notifications.user_inbox == [
+        note.user_rendering for note, event in zip(notes, resolved)
+        if event.notify in ("user", "both")]
+    assert world.notifications.assistant_inbox == [
+        note.assistant_rendering for note, event in zip(notes, resolved)
+        if event.notify in ("assistant", "both")]
+    assert [entry["args_digest"] for entry in world.event_log] == [
+        digest(event.args) for event in resolved]
+
+
+def test_event_lookup_failures_raise_on_every_delivery():
+    world = make_world("EmailApp")
+    good = {"sender": "a", "subject": "s", "body": "b"}
+    bad = {"sender": "a", "subject": 5, "body": "b"}
+    world.schedule_event(Event(id="good", kind="environment", at=30,
+                               app="EmailApp", tool="deliver_email", args=good))
+    world.resolve_due_events()
+    for i, at in enumerate((90, 150)):
+        world.schedule_event(Event(id=f"bad{i}", kind="environment", at=at,
+                                   app="EmailApp", tool="deliver_email", args=bad))
+        with pytest.raises(ArgumentInvalid):
+            world.resolve_due_events()
+        world.schedule_event(Event(id=f"missing{i}", kind="environment", at=at + 60,
+                                   app="EmailApp", tool="no_such_tool", args=good))
+        with pytest.raises(PayloadToolMissing):
+            world.resolve_due_events()
+    assert [entry["id"] for entry in world.event_log] == ["good"]
+    assert len(world.db.store("EmailApp", "emails")) == 1
+
+
+def test_restore_then_more_events_match_a_world_never_restored():
+    scenario = parse_scenario(dict(NOISY, max_turns=30))
+    kept, restored = (build_world(scenario, stochastic=NOISE) for _ in range(2))
+    for world in (kept, restored):
+        for _ in range(10):
+            world.resolve_due_events()
+    restored.restore(restored.checkpoint())
+    for world in (kept, restored):
+        for _ in range(10):
+            world.resolve_due_events()
+    assert len(kept.event_log) > 300
+    assert canonical_json(restored.checkpoint()) == canonical_json(kept.checkpoint())
