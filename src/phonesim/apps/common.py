@@ -84,12 +84,11 @@ def read_op(store: str, id_arg: str, what: str) -> Handler:
 
 
 def delete_op(store: str, id_arg: str, what: str) -> Handler:
-    """Delete a record; a screen that had it open no longer has it open."""
+    """Delete a record. The world then closes it on every screen that had
+    it open (`World._guarded`)."""
     def op(ctx: ToolContext) -> str:
         rid = require_record(ctx.store(store), ctx.args[id_arg], what)["id"]
         ctx.store(store).remove(rid)
-        if ctx.session.get("open_id") == rid:
-            ctx.session["open_id"] = None
         return f"deleted {rid}"
     return op
 

@@ -70,6 +70,9 @@ RESPONSE_TOOLS = {
 
 FAILURE_OBSERVATION = "Error: the tool call failed transiently; you may retry."
 
+# Session keys by which an app's screens hold a record open.
+OPEN_KEYS = ("open_id", "open_ride", "open_order", "open_variant")
+
 
 class World:
     def __init__(self, start_time: str, tick_seconds: int = 60,
@@ -277,17 +280,35 @@ class World:
         A write runs under an undo journal on the app's stores, which saves
         each record the handler reaches before it can change it. The journal
         is replayed on `GuardFailed` or `ArgumentInvalid` and closed on every
-        exit; any other exception propagates and keeps its writes."""
+        exit; any other exception propagates and keeps its writes. After a
+        write that succeeds, the user's screens of the app no longer hold
+        open a record it removed, whichever surface removed it."""
         if tool.read_only:
             return handler(ctx)
         saved = self.db.copy_app(ctx.app_id)
         try:
-            return handler(ctx)
+            outcome = handler(ctx)
         except (GuardFailed, ArgumentInvalid):
             self.db.restore_app(ctx.app_id, saved)
             raise
+        else:
+            self._close_removed(ctx.app_id)
+            return outcome
         finally:
             self.db.close_app(ctx.app_id)
+
+    def _close_removed(self, app_id: str) -> None:
+        """Clear each open-record key of the app's session that names a
+        record this write removed: one the journal saw in a store and no
+        store of the app holds now. (Stores may share ids: ApartmentApp's
+        `saved` list keys its records by apartment id.)"""
+        session = self.sessions[app_id]
+        stores = self.db.app_stores(app_id).values()
+        for key in OPEN_KEYS:
+            rid = session.get(key)
+            if (rid and any(store.undo.get(rid) is not None for store in stores)
+                    and not any(rid in store.records for store in stores)):
+                session[key] = None
 
     def _respond_to_proposal(self, decision: str) -> str:
         proposal = self.proposals.respond(decision, self.turn)

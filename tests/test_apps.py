@@ -24,7 +24,7 @@ WALK_STEPS = 4000
 USER_SHARE = 0.85   # the share of steps that are user calls; the rest are API calls
 STAY = 0.9          # the chance that a user call stays in the foreground app
 VISIT = 16          # steps per app visit
-WALK_SHA256 = "64e02975ced20989d926955f7063ccd9f7d27b73973d27001a55f7b304d6f0dc"
+WALK_SHA256 = "bcdd1862e63a2369ab1fce7c624fb5dcf343405c487abfc731725117f5b639d0"
 
 SEED_RECORDS = {
     ("EmailApp", "emails"): [

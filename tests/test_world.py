@@ -251,6 +251,32 @@ def test_screen_write_on_a_record_deleted_through_the_api_is_refused():
     assert world.sessions["ContactsApp"]["state"] == "Edit"
 
 
+def test_api_delete_closes_the_record_on_the_users_screen():
+    world = make_world("ContactsApp", "ApartmentApp")
+    contacts = world.db.store("ContactsApp", "contacts")
+    for name in ("Ana", "Bo"):
+        contacts.add({"name": name, "email": "", "phone": "", "notes": ""})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
+    world.invoke_user_tool("ContactsApp__open_contact", {"contact_id": "C001"})
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C002"},
+                            mode="execute")
+    assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": "C001"}
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
+                            mode="execute")
+    assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": None}
+
+    # Unsaving removes a `saved` record that shares the apartment's id; the
+    # apartment itself stays open.
+    world.db.store("ApartmentApp", "apartments").add(
+        {"name": "Loft", "location": "x", "rent": 1, "bedrooms": 1})
+    world.invoke_user_tool("SystemApp__go_home", {})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "ApartmentApp"})
+    world.invoke_user_tool("ApartmentApp__view_apartment", {"apartment_id": "A001"})
+    world.invoke_user_tool("ApartmentApp__save", {})
+    world.invoke_user_tool("ApartmentApp__unsave", {})
+    assert world.sessions["ApartmentApp"]["open_id"] == "A001"
+
+
 def test_failure_injection_hits_assistant_calls_only():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
