@@ -93,6 +93,14 @@ def _req(data: dict, key: str, kind, where: str):
     return value
 
 
+def _count(data: dict, key: str, default: int, where: str) -> int:
+    """An optional whole number of at least 1, such as `max_turns`."""
+    value = data.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SchemaError(f"{where}.{key}: expected an integer of at least 1, got {value!r}")
+    return value
+
+
 def _seconds(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{where}: expected seconds as a number")
@@ -238,8 +246,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         init=data.get("init", {}),
         user_goal=data.get("user_goal", ""),
         assistant_instructions=data.get("assistant_instructions", ""),
-        max_turns=int(data.get("max_turns", 10)),
-        tick_seconds=int(data.get("tick_seconds", 60)),
+        max_turns=_count(data, "max_turns", 10, source),
+        tick_seconds=_count(data, "tick_seconds", 60, source),
         stochastic=_parse_stochastic(data.get("stochastic", {}), f"{source}.stochastic"),
         machines={app: build_app(app) for app in apps},
     )

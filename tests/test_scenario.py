@@ -66,6 +66,16 @@ def test_bad_stochastic_block_is_a_schema_error(block):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_turns", "abc"), ("max_turns", 0), ("max_turns", -2), ("max_turns", True),
+    ("max_turns", 2.0), ("tick_seconds", 1.9), ("tick_seconds", 0), ("tick_seconds", "x"),
+    ("tick_seconds", None)])
+def test_turn_budget_and_tick_must_be_integers_of_at_least_one(key, value):
+    with pytest.raises(SchemaError, match=rf"^<scenario>\.{key}: "):
+        parse_scenario(dict(base_doc(), **{key: value}))
+    assert getattr(parse_scenario(dict(base_doc(), **{key: 1})), key) == 1
+
+
 def test_worlds_do_not_share_init_records():
     scenario = parse_scenario(messaging_doc())
     init = copy.deepcopy(scenario.init)
