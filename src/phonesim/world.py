@@ -102,9 +102,9 @@ class World:
 
         self.tool_log: list[dict] = []        # every successful tool application
         self.event_log: list[dict] = []       # every resolved event
-        # (app, tool, id(args)) -> (args, api tool, args digest, notification);
-        # see `_payload`. Not part of a checkpoint.
-        self._payloads: dict[tuple[str, str, int], tuple] = {}
+        # (kind, app, tool, id(args)) -> (args, api tool, args digest,
+        # notification); see `_payload`. Not part of a checkpoint.
+        self._payloads: dict[tuple[str, str, str, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # Registration and scheduling
@@ -138,9 +138,10 @@ class World:
         payload: the checked API tool (None for a completion), the args
         digest and the rendered notification. Noise events of one catalog
         entry share their args dict, so they share one memo entry; the entry
-        holds that dict, so its id is not reused while the memo lives. A
+        holds that dict, so its id is not reused while the memo lives. The
+        kind is part of the key because a completion looks up no tool. A
         failed lookup or argument check is not memoised and raises again."""
-        key = (event.app, event.tool, id(event.args))
+        key = (event.kind, event.app, event.tool, id(event.args))
         memo = self._payloads.get(key)
         if memo is None:
             api = None
