@@ -55,12 +55,15 @@ def by_index(records: list[dict], index: int, what: str) -> dict:
 
 def on_open(op: Handler, id_arg: str, key: str = "open_id") -> Handler:
     """Screen handler that runs `op` on the record the screen has open
-    (`session[key]`), passed as the argument `id_arg`.
+    (`session[key]`), passed as the argument `id_arg`. With nothing open it
+    fails as "no <what> is open", <what> being `id_arg` without `_id`.
 
     The bound id goes into a new dict: the caller logs the arguments it
     passed in, and action criteria match on them."""
+    what = id_arg.removesuffix("_id")
+
     def handler(ctx: ToolContext) -> str:
-        ctx.args = {**ctx.args, id_arg: ctx.session.get(key) or ""}
+        ctx.args = {**ctx.args, id_arg: opened_id(ctx, key, what)}
         return op(ctx)
     return handler
 
@@ -122,9 +125,17 @@ def update_op(store: str, id_arg: str, fields: tuple[str, ...], what: str) -> Ha
 
 # -- screen patterns -------------------------------------------------------------
 
+def opened_id(ctx: ToolContext, key: str, what: str) -> str:
+    """The id of the record the screen has open (`session[key]`)."""
+    rid = ctx.session.get(key)
+    if not rid:
+        raise GuardFailed(f"no {what} is open")
+    return rid
+
+
 def open_record(ctx: ToolContext, store: str, what: str) -> dict:
     """The record the screen has open (`session["open_id"]`)."""
-    return require_record(ctx.store(store), ctx.session.get("open_id", ""), f"open {what}")
+    return require_record(ctx.store(store), opened_id(ctx, "open_id", what), f"open {what}")
 
 
 def open_op(store: str, id_arg: str, what: str, key: str = "open_id") -> Handler:

@@ -43,6 +43,28 @@ def record_order(record_id: str) -> tuple[int, str]:
     return len(record_id), record_id
 
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def plain_copy(value):
+    """A copy of JSON-like data: dicts and lists are copied recursively,
+    strings, numbers, booleans and None are returned as they are, and
+    anything else (a YAML date, say, or a dict subclass) goes to
+    `copy.deepcopy`.
+
+    Unlike `copy.deepcopy` it keeps no memo, so a dict or list that occurs
+    twice inside `value` (a YAML alias) comes out as two equal, separate
+    copies. A checkpoint written as JSON drops that aliasing too."""
+    cls = type(value)
+    if cls is dict:
+        return {k: plain_copy(v) for k, v in value.items()}
+    if cls is list:
+        return [plain_copy(v) for v in value]
+    if cls in _PLAIN:
+        return value
+    return copy.deepcopy(value)
+
+
 class Store:
     """A keyed record collection with deterministic id assignment."""
 

@@ -3,8 +3,7 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
-import copy
-
+from .database import plain_copy
 from .errors import OracleExecutionError
 from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
@@ -36,8 +35,8 @@ def build_world(scenario: Scenario, mode: str = "policy",
         for store_name, records in stores.items():
             store = world.db.store(app_id, store_name)
             for record in records:
-                # A deep copy: worlds built from one scenario share its init.
-                rid = store.add(copy.deepcopy(record))
+                # A copy: worlds built from one scenario share its init.
+                rid = store.add(plain_copy(record))
                 suffix = rid[len(store.prefix):]
                 if rid.startswith(store.prefix) and suffix.isdigit():
                     store.counter = max(store.counter, int(suffix))

@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict
 
 from .clock import SimClock, parse_start_time
-from .database import WorldDatabase, digest
+from .database import WorldDatabase, digest, plain_copy
 from .errors import (
     ArgumentInvalid,
     DuplicateAppId,
@@ -413,7 +413,7 @@ class World:
             "sim_time": self.clock.now,
             "actor": actor,
             "tool": qualified,
-            "args": copy.deepcopy(args),
+            "args": plain_copy(args),
             "mode": mode,
             "outcome": outcome,
         })

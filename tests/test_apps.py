@@ -5,14 +5,19 @@ the per-app sessions and the navigation state, one JSON line per step. Its
 sha256 is frozen: a refactor of the apps must leave the transcript
 byte-identical, and a deliberate behaviour change updates the digest and
 says so in CHANGES.md.
+
+On the same seeded records, a property test calls every `read_only` tool on
+both surfaces and checks that none of them writes.
 """
 
+import functools
 import hashlib
 import json
 import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonesim.apps import BUILDERS, build_app
 from phonesim.errors import ArgumentInvalid, GuardFailed, PhonesimError
@@ -24,7 +29,7 @@ WALK_STEPS = 4000
 USER_SHARE = 0.85   # the share of steps that are user calls; the rest are API calls
 STAY = 0.9          # the chance that a user call stays in the foreground app
 VISIT = 16          # steps per app visit
-WALK_SHA256 = "bcdd1862e63a2369ab1fce7c624fb5dcf343405c487abfc731725117f5b639d0"
+WALK_SHA256 = "a973bf3637858ca1c19cf73ce6b3315abb4a5d9eb3c43d169ffc05a4de20588f"
 
 SEED_RECORDS = {
     ("EmailApp", "emails"): [
@@ -261,3 +266,103 @@ def test_messaging_screen_send_rejects_attachments():
         world.invoke_user_tool("MessagingApp__send_message",
                                {"message": "photo", "attachments": ["a.jpg"]})
     assert world.db_digest() == before
+
+
+# -- read-only tools never write ---------------------------------------------------
+
+def _world_at(app_id, path):
+    """The seeded world with the app open and the user calls `path` made."""
+    world = _world(app_id)
+    for tool, args in path:
+        world.invoke_user_tool(f"{app_id}__{tool}", args)
+    return world
+
+
+def _fixed_args(world, app_id, spec):
+    """Candidate arguments for a step of a screen path: the required
+    parameters only, with one candidate per known id when any is an id."""
+    args = {}
+    for p in spec.params:
+        if p.required:
+            args[p.name] = 1 if p.type == "int" else [] if p.type == "list" else "x"
+    ids = [p.name for p in spec.params if p.required and p.name.endswith("_id")]
+    if not ids:
+        return [args]
+    return [{**args, **{name: rid for name in ids}}
+            for rid in _id_pool(world, app_id, ids[0])[:-1]]
+
+
+@functools.cache
+def _screen_paths(app_id):
+    """For each screen of the app, a shortest list of (tool, args) user calls
+    that reaches it from `open_app` on the seeded world, found breadth first."""
+    machine = build_app(app_id)
+    paths = {machine.initial_state: []}
+    queue = [machine.initial_state]
+    for state in queue:
+        for t in machine.transitions:
+            if t.state != state:
+                continue
+            for args in _fixed_args(_world_at(app_id, paths[state]), app_id, t.tool):
+                world = _world_at(app_id, paths[state])
+                try:
+                    world.invoke_user_tool(t.tool.qualified(app_id), args)
+                except PhonesimError:
+                    continue
+                reached = world.sessions[app_id]["state"]
+                if reached not in paths:
+                    paths[reached] = paths[state] + [(t.tool.name, args)]
+                    queue.append(reached)
+                break
+    return paths
+
+
+def _drawn_args(data, world, app_id, spec):
+    args = {}
+    for p in spec.params:
+        if not (p.required or data.draw(st.booleans())):
+            continue
+        if p.type == "int":
+            args[p.name] = data.draw(st.integers(-3, 3000))
+        elif p.type == "list":
+            args[p.name] = data.draw(st.lists(st.sampled_from(WORDS), max_size=2))
+        elif p.name.endswith("_id"):
+            args[p.name] = data.draw(st.sampled_from(_id_pool(world, app_id, p.name)))
+        else:
+            args[p.name] = data.draw(st.sampled_from(WORDS) | st.text(max_size=6))
+    return args
+
+
+def _read(world, call):
+    """Make one read-only call; whether it succeeds or fails, the database
+    must be as it was."""
+    before = world.db_digest()
+    try:
+        call()
+    except PhonesimError:
+        pass
+    assert world.db_digest() == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_read_only_tools_never_write(data):
+    """Each `read_only` API tool in observe mode, and each `read_only` screen
+    tool on its screen, reached from `open_app` by that screen's path."""
+    for app_id in sorted(BUILDERS):
+        machine = build_app(app_id)
+        paths = _screen_paths(app_id)
+        assert sorted(paths) == sorted(machine.states), app_id
+        world = _world(app_id)
+        for api in machine.agent_api_tools():
+            if api.tool.read_only:
+                args = _drawn_args(data, world, app_id, api.tool)
+                _read(world, lambda: world.invoke_agent_tool(
+                    api.tool.qualified(app_id), args, mode="observe"))
+        for t in machine.transitions:
+            if t.tool.read_only:
+                world = _world_at(app_id, paths[t.state])
+                args = _drawn_args(data, world, app_id, t.tool)
+                _read(world, lambda: world.invoke_user_tool(t.tool.qualified(app_id), args))
+    _read(world, lambda: world.invoke_user_tool(f"{SYSTEM_APP}__current_time", {}))
+    _read(world, lambda: world.invoke_agent_tool(f"{SYSTEM_APP}__current_time", {}))

@@ -1,11 +1,13 @@
 import builtins
+import copy
+import datetime
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phonesim.database
-from phonesim.database import Store, WorldDatabase, canonical_json, digest
+from phonesim.database import Store, WorldDatabase, canonical_json, digest, plain_copy
 from phonesim.errors import SeedDataInvalid
 
 
@@ -42,6 +44,41 @@ def test_database_dump_load_digest_roundtrip():
     db2 = WorldDatabase()
     db2.load(db.dump())
     assert db2.digest() == before
+
+
+def _containers(value, out):
+    """The ids of every dict and list inside `value`, itself included."""
+    if isinstance(value, (dict, list)):
+        out.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            _containers(item, out)
+    return out
+
+
+_JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+    | st.dates(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSONISH)
+def test_plain_copy_equals_a_deep_copy_and_shares_no_container(value):
+    copied = plain_copy(value)
+    assert copied == copy.deepcopy(value)
+    assert not _containers(copied, set()) & _containers(value, set())
+
+
+def test_plain_copy_copies_other_leaves_and_splits_aliases():
+    day = datetime.date(2025, 6, 1)
+    pair = (["x"],)
+    shared = {"tags": ["a"]}
+    copied = plain_copy({"day": day, "pair": pair, "one": shared, "two": shared})
+    assert copied["day"] == day and copied["pair"] == pair
+    assert copied["pair"][0] is not pair[0]          # a tuple goes to deepcopy
+    assert copied["one"] == copied["two"] == shared
+    assert copied["one"] is not copied["two"]        # the alias is not kept
 
 
 def test_copy_restore_app_rolls_back_writes():

@@ -1,4 +1,5 @@
 import copy
+import gc
 from importlib import resources
 from pathlib import Path
 
@@ -96,6 +97,71 @@ def test_yaml_reader_matches_the_pure_python_safe_loader():
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             assert load_yaml(path) == yaml.load(fh, Loader=yaml.SafeLoader), path
+
+
+def _flow_records_doc(path, n):
+    """A scenario-like document whose `init` holds `n` flow-style emails."""
+    lines = ["id: big", "init:", "  EmailApp:", "    emails:"]
+    lines += [f"      - {{folder: inbox, sender: s{i % 97}@x.example, subject: note {i}, "
+              f"body: plain text {i * 7}, read: {str(i % 2 == 0).lower()}}}"
+              for i in range(n)]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ["id: [1, 2, {a: b}]", "id: [unclosed"])
+def test_load_yaml_leaves_the_collector_as_it_found_it(tmp_path, enabled, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, "utf-8")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_yaml(path)
+        except yaml.YAMLError:
+            assert "unclosed" in text
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_yaml_starts_no_collection_on_a_large_document(tmp_path):
+    path = _flow_records_doc(tmp_path / "big.yaml", 5000)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert gc.isenabled() and starts, "the plain parse should set off collections"
+        starts.clear()
+        doc = load_yaml(path)
+        assert starts == []
+    finally:
+        gc.callbacks.remove(hook)
+    assert len(doc["init"]["EmailApp"]["emails"]) == 5000
+
+
+def _safe_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
+def test_large_documents_dates_and_aliases_load_as_the_pure_python_loader_does(tmp_path):
+    big = _flow_records_doc(tmp_path / "big.yaml", 5000)
+    assert load_yaml(big) == _safe_load(big)
+    odd = tmp_path / "odd.yaml"
+    odd.write_text("day: 2025-06-01\n"
+                   "base: &who {name: Ana, tags: [a, b]}\n"
+                   "copies: [*who, *who]\n", "utf-8")
+    doc = load_yaml(odd)
+    assert doc == _safe_load(odd)
+    assert str(doc["day"]) == "2025-06-01" and doc["copies"][1]["tags"] == ["a", "b"]
 
 
 def test_bundled_scenarios_load_and_solve_in_oracle_mode():

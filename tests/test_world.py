@@ -219,6 +219,17 @@ def test_screen_tool_logs_only_the_arguments_the_user_gave():
     assert actions[-1].startswith('[user_action] EmailApp__move_email({"folder": "archive"})')
 
 
+def test_logged_arguments_share_no_container_with_the_callers():
+    world = make_world("EmailApp")
+    args = {"recipients": ["a@b.c"], "subject": "s", "body": "b"}
+    world.invoke_agent_tool("EmailApp__send_email", args, mode="execute")
+    logged = world.tool_log[-1]["args"]
+    assert logged == args
+    assert logged is not args and logged["recipients"] is not args["recipients"]
+    args["recipients"].append("x@y.z")
+    assert logged["recipients"] == ["a@b.c"]
+
+
 def test_screen_lists_page_while_the_api_lists_everything():
     world = make_world("ContactsApp")
     for i in range(12):
@@ -243,7 +254,7 @@ def test_screen_write_on_a_record_deleted_through_the_api_is_refused():
     world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
                             mode="execute")
     dump, before = copy.deepcopy(world.db.dump()), world.db_digest()
-    with pytest.raises(GuardFailed):
+    with pytest.raises(GuardFailed, match="^no contact is open$"):
         world.invoke_user_tool("ContactsApp__update_contact", {"phone": "555"})
     assert world.db.dump() == dump
     assert world.db_digest() == before
@@ -264,6 +275,9 @@ def test_api_delete_closes_the_record_on_the_users_screen():
     world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
                             mode="execute")
     assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": None}
+    for tool in ("view_contact", "start_edit_contact", "delete_contact"):
+        with pytest.raises(GuardFailed, match="^no contact is open$"):
+            world.invoke_user_tool(f"ContactsApp__{tool}", {})
 
     # Unsaving removes a `saved` record that shares the apartment's id; the
     # apartment itself stays open.
