@@ -101,7 +101,7 @@ def cancel_ride(ctx: ToolContext) -> str:
     ride = require_record(ctx.store("rides"), ctx.args["ride_id"], "ride")
     if ride["status"] != "active":
         raise GuardFailed(f"ride {ride['id']} is not active")
-    ride["status"] = "cancelled"
+    ctx.store("rides").update(ride["id"], status="cancelled")
     if ctx.session.get("open_ride") == ride["id"]:
         ctx.session["open_ride"] = None
     return f"ride {ride['id']} cancelled"

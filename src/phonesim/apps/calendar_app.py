@@ -138,8 +138,8 @@ def save(ctx: ToolContext) -> str:
     current = draft(ctx, DRAFT)
     editing = ctx.session.get("editing_id")
     if editing:
-        event = require_record(ctx.store("events"), editing, "event")
-        event.update(current)
+        require_record(ctx.store("events"), editing, "event")
+        ctx.store("events").update(editing, **current)
         _edit_exit(ctx)
         ctx.go("Detail")
         ctx.session["open_id"] = editing

@@ -115,11 +115,10 @@ def search_op(store: str, fields: tuple[str, ...], list_fields: tuple[str, ...])
 def update_op(store: str, id_arg: str, fields: tuple[str, ...], what: str) -> Handler:
     """Set each of `fields` that the call passes."""
     def op(ctx: ToolContext) -> str:
-        rec = require_record(ctx.store(store), ctx.args[id_arg], what)
-        for name in fields:
-            if name in ctx.args:
-                rec[name] = ctx.args[name]
-        return f"{what} {rec['id']} updated"
+        rid = require_record(ctx.store(store), ctx.args[id_arg], what)["id"]
+        ctx.store(store).update(rid, **{name: ctx.args[name] for name in fields
+                                        if name in ctx.args})
+        return f"{what} {rid} updated"
     return op
 
 

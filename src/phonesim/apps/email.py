@@ -73,18 +73,17 @@ def list_emails(ctx: ToolContext) -> str:
 search_emails = search_op("emails", ("subject", "body"), LIST_FIELDS)
 
 
-def open_email(ctx: ToolContext) -> str:
-    email = require_record(ctx.store("emails"), ctx.args["email_id"], "email")
-    email["read"] = True
+def _open(ctx: ToolContext, email: dict) -> str:
     ctx.session["open_id"] = email["id"]
-    return _render_email(email)
+    return _render_email(ctx.store("emails").update(email["id"], read=True))
+
+
+def open_email(ctx: ToolContext) -> str:
+    return _open(ctx, require_record(ctx.store("emails"), ctx.args["email_id"], "email"))
 
 
 def open_email_by_index(ctx: ToolContext) -> str:
-    email = by_index(_folder_emails(ctx), ctx.args["index"], "email")
-    email["read"] = True
-    ctx.session["open_id"] = email["id"]
-    return _render_email(email)
+    return _open(ctx, by_index(_folder_emails(ctx), ctx.args["index"], "email"))
 
 
 def switch_folder(ctx: ToolContext) -> str:
@@ -211,12 +210,12 @@ delete_email = delete_op("emails", "email_id", "email")
 
 
 def move_email(ctx: ToolContext) -> str:
-    email = require_record(ctx.store("emails"), ctx.args["email_id"], "email")
+    rid = require_record(ctx.store("emails"), ctx.args["email_id"], "email")["id"]
     folder = ctx.args["folder"]
     if folder not in FOLDERS:
         raise GuardFailed(f"unknown folder {folder!r}")
-    email["folder"] = folder
-    return f"moved {email['id']} to {folder}"
+    ctx.store("emails").update(rid, folder=folder)
+    return f"moved {rid} to {folder}"
 
 
 def build() -> AppStateMachine:

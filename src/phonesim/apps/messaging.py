@@ -13,8 +13,9 @@ LIST_FIELDS = ("title", "participants")
 
 
 def _append_message(store, conversation_id: str, sender: str, content: str, timestamp: str) -> None:
-    conv = require_record(store, conversation_id, "conversation")
-    conv["messages"].append({"sender": sender, "content": content, "timestamp": timestamp})
+    require_record(store, conversation_id, "conversation")
+    store.append(conversation_id, "messages",
+                 {"sender": sender, "content": content, "timestamp": timestamp})
 
 
 def search_conversations(ctx: ToolContext) -> str:

@@ -55,15 +55,18 @@ def list_attachments(ctx: ToolContext) -> str:
 
 
 def add_attachment(ctx: ToolContext) -> str:
-    open_record(ctx, "notes", "note")["attachments"].append(ctx.args["filename"])
+    ctx.store("notes").append(open_record(ctx, "notes", "note")["id"], "attachments",
+                              ctx.args["filename"])
     return "attachment added"
 
 
 def remove_attachment(ctx: ToolContext) -> str:
     note = open_record(ctx, "notes", "note")
-    if ctx.args["filename"] not in note["attachments"]:
+    attachments = list(note["attachments"])
+    if ctx.args["filename"] not in attachments:
         raise GuardFailed(f"no attachment {ctx.args['filename']!r}")
-    note["attachments"].remove(ctx.args["filename"])
+    attachments.remove(ctx.args["filename"])
+    ctx.store("notes").update(note["id"], attachments=attachments)
     return "attachment removed"
 
 
@@ -82,9 +85,9 @@ def duplicate_note(ctx: ToolContext) -> str:
 
 
 def move_note(ctx: ToolContext) -> str:
-    note = open_record(ctx, "notes", "note")
-    note["folder"] = ctx.args["folder"]
-    return f"moved {note['id']} to folder {ctx.args['folder']}"
+    rid = open_record(ctx, "notes", "note")["id"]
+    ctx.store("notes").update(rid, folder=ctx.args["folder"])
+    return f"moved {rid} to folder {ctx.args['folder']}"
 
 
 set_title = set_draft(("title",), "title set", DRAFT)
@@ -96,8 +99,8 @@ def update_note(ctx: ToolContext) -> str:
     editing = ctx.session.get("editing_id")
     store = ctx.store("notes")
     if editing:
-        note = require_record(store, editing, "note")
-        note["title"], note["content"] = current["title"], current["content"]
+        require_record(store, editing, "note")
+        store.update(editing, title=current["title"], content=current["content"])
         rid = editing
     else:
         if not current["title"]:

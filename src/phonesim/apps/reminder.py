@@ -63,8 +63,8 @@ def save(ctx: ToolContext) -> str:
     editing = ctx.session.get("editing_id")
     store = ctx.store("reminders")
     if editing:
-        reminder = require_record(store, editing, "reminder")
-        reminder.update(current)
+        require_record(store, editing, "reminder")
+        store.update(editing, **current)
         rid = editing
     else:
         if not current["title"]:

@@ -69,8 +69,8 @@ def remove_item(ctx: ToolContext) -> str:
     if drop >= item["quantity"]:
         cart.remove(item["id"])
         return f"removed {item['id']} from cart"
-    item["quantity"] -= drop
-    return f"reduced {item['id']} to quantity {item['quantity']}"
+    quantity = cart.update(item["id"], quantity=item["quantity"] - drop)["quantity"]
+    return f"reduced {item['id']} to quantity {quantity}"
 
 
 def checkout(ctx: ToolContext) -> str:

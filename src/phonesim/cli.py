@@ -44,15 +44,18 @@ def _collect_scenarios(path_args: list[str]) -> list[Path]:
 # ----------------------------------------------------------------------
 # Policy construction
 
-def _policy_factory(spec: str, side: str, scenario: Scenario):
+def _policy_factory(spec: str, side: str, scenario: Scenario, scripts: dict[str, list]):
     """spec: 'noop' | 'scripted:<path>' | 'llm:<config path>'.
     For the assistant, 'observe=SPEC,execute=SPEC' builds a mode-split policy.
     Returns a zero-arg factory producing a fresh policy per episode; files are
-    read here, once, so the factory itself only creates per-episode state."""
+    read here, so the factory itself only creates per-episode state. A script
+    is read once per run: `scripts` holds the steps of each path read so far,
+    which every policy shares and none changes."""
     if side == "assistant" and "=" in spec:
         parts = dict(item.split("=", 1) for item in spec.split(","))
-        observe = _policy_factory(parts["observe"], side, scenario)
-        execute = _policy_factory(parts.get("execute", parts["observe"]), side, scenario)
+        observe = _policy_factory(parts["observe"], side, scenario, scripts)
+        execute = _policy_factory(parts.get("execute", parts["observe"]), side, scenario,
+                                  scripts)
         return lambda: _ModeSplitPolicy(observe(), execute())
 
     kind, _, arg = spec.partition(":")
@@ -60,7 +63,9 @@ def _policy_factory(spec: str, side: str, scenario: Scenario):
         idle = WAIT_ACTION if side == "assistant" else NOOP_ACTION
         return lambda: NoopPolicy(idle)
     if kind == "scripted":
-        steps = load_script(arg)
+        if arg not in scripts:
+            scripts[arg] = load_script(arg)
+        steps = scripts[arg]
         if side == "assistant":
             return lambda: scripted_assistant_policy(steps)
         return lambda: scripted_user_policy(steps)
@@ -144,9 +149,10 @@ def cmd_run(args) -> int:
     model_label = _policy_label(args.assistant_policy)
     # One pair of factories per scenario, built before any episode runs.
     # Paired by position, not by id: two files may share a scenario id.
+    scripts: dict[str, list] = {}
     plans = [(scenario,
-              _policy_factory(args.user_policy, "user", scenario),
-              _policy_factory(args.assistant_policy, "assistant", scenario))
+              _policy_factory(args.user_policy, "user", scenario, scripts),
+              _policy_factory(args.assistant_policy, "assistant", scenario, scripts))
              for scenario in scenarios]
 
     tasks = []

@@ -36,11 +36,3 @@ class SimClock:
             "tick": self.tick,
             "now": self.now,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimClock":
-        return cls(
-            start_time=parse_start_time(data["start_time"]),
-            tick=int(data["tick"]),
-            now=float(data["now"]),
-        )

@@ -1,25 +1,27 @@
 """The shared world database: one keyed store per (app, collection).
 
-Records are plain JSON-serializable dicts so snapshots, digests, and replay
-comparisons are byte-exact. All mutation flows through tool handlers; nothing
-else writes here.
+Records are plain JSON-serializable dicts, so dumps and digests are
+byte-exact. Records change only through a store's four writes: `add`,
+`remove`, `update(rid, **fields)` and `append(rid, field, item)`. A read
+(`get`, `all`, `find`) returns the stored dicts themselves; callers read
+them and never change them in place.
 
 Records are listed in record order: by the key `(len(id), id)`. Ids of one
 length list in string order, and ids from `Store.next_id` in numeric order,
 so `E1000` follows `E999`. `Store.records` itself is kept in that order, so
-`all` and `find` read it without sorting. An add whose id sorts before the
-last one, a rollback that puts a removed record back, and a load from a
-snapshot mark the store unsorted; the next `all` or `find` sorts it once.
+`all` and `find` read it without sorting. An add, or a rollback that puts a
+removed record back, whose id sorts before the last one marks the store
+unsorted; the next `all` or `find` sorts it once.
 
-A write that fails is rolled back through a per-call undo journal, not a
-copy of the app's stores. `WorldDatabase.copy_app` opens a journal on each
-store of the app. While it is open, `get`, `remove`, `add`, `find` and `all`
-save the prior value of every record id they touch or return, once per id: a
-deep copy of the record, or `None` if it did not exist. Handlers may then
-mutate the dicts those methods return in place. `restore_app` puts the saved
-records and id counters back, and `close_app` drops the journal; outside an
-open journal each method pays one `is None` test. `to_dict`/`from_dict` and
-`dump`/`load` serve snapshots.
+A write that fails is rolled back through a per-call undo journal.
+`WorldDatabase.copy_app` opens a journal on each store of the app: an empty
+list. While it is open, each write appends its own inverse and nothing
+else: the added id; the removed record object; the old values of the fields
+an update sets, with `ABSENT` for a field the record lacked; the length of
+the list before an append. Reads save nothing, and nothing is copied.
+`restore_app` replays the journal newest first and puts the id counters
+back, and `close_app` drops the journal; outside an open journal a write
+pays one `is None` test.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ def plain_copy(value):
     return copy.deepcopy(value)
 
 
+# Journal entries, one per write: (ADD, rid), (REMOVE, rid, record),
+# (UPDATE, rid, {field: old value or ABSENT}), (APPEND, rid, field, length).
+ADD, REMOVE, UPDATE, APPEND = "add", "remove", "update", "append"
+ABSENT = object()          # marks an updated field that the record lacked
+
+
 class Store:
     """A keyed record collection with deterministic id assignment."""
 
@@ -73,91 +81,96 @@ class Store:
         self.records: dict[str, dict] = {}   # in record order while `ordered`
         self.ordered = True
         self.counter = 0
-        # record id -> prior value (a deep copy, or None if it did not exist),
-        # kept while a write is open; None otherwise.
-        self.undo: dict[str, dict | None] | None = None
+        self.undo: list[tuple] | None = None  # the open journal, newest last
 
     def next_id(self) -> str:
         self.counter += 1
         return f"{self.prefix}{self.counter:03d}"
 
+    def _put(self, rid: str, record: dict) -> None:
+        if self.ordered and self.records and (
+                record_order(rid) < record_order(next(reversed(self.records)))):
+            self.ordered = False
+        self.records[rid] = record
+
     def add(self, record: dict, record_id: str | None = None) -> str:
         rid = record_id or record.get("id") or self.next_id()
         if rid in self.records:
             raise SeedDataInvalid(f"duplicate record id {rid!r}")
-        if self.undo is not None:
-            self._save(rid)
-        if self.ordered and self.records and (
-                record_order(rid) < record_order(next(reversed(self.records)))):
-            self.ordered = False
         record = dict(record)
         record["id"] = rid
-        self.records[rid] = record
+        self._put(rid, record)
+        if self.undo is not None:
+            self.undo.append((ADD, rid))
         return rid
 
-    def get(self, record_id: str) -> dict | None:
+    def remove(self, record_id: str) -> dict | None:
+        record = self.records.pop(record_id, None)
+        if record is not None and self.undo is not None:
+            self.undo.append((REMOVE, record_id, record))
+        return record
+
+    def update(self, record_id: str, **fields) -> dict:
+        """Set `fields` on the record and return it."""
+        record = self.records[record_id]
         if self.undo is not None:
-            self._save(record_id)
+            self.undo.append((UPDATE, record_id,
+                              {name: record.get(name, ABSENT) for name in fields}))
+        record.update(fields)
+        return record
+
+    def append(self, record_id: str, field: str, item) -> None:
+        """Append `item` to the record's list `field`."""
+        items = self.records[record_id][field]
+        if self.undo is not None:
+            self.undo.append((APPEND, record_id, field, len(items)))
+        items.append(item)
+
+    def get(self, record_id: str) -> dict | None:
         return self.records.get(record_id)
 
-    def remove(self, record_id: str) -> dict | None:
-        if self.undo is not None:
-            self._save(record_id)
-        return self.records.pop(record_id, None)
-
-    def _listing(self) -> list[dict]:
+    def all(self) -> list[dict]:
         """Every record, in record order."""
         if not self.ordered:
             self.records = {k: self.records[k] for k in sorted(self.records, key=record_order)}
             self.ordered = True
         return list(self.records.values())
 
-    def all(self) -> list[dict]:
-        out = self._listing()
-        if self.undo is not None:
-            for rec in out:
-                self._save(rec["id"])
-        return out
-
     def find(self, **fields) -> list[dict]:
-        out = self._listing()
+        out = self.all()
         for name, value in fields.items():
             out = [rec for rec in out if rec.get(name) == value]
-        if self.undo is not None:
-            for rec in out:
-                self._save(rec["id"])
         return out
 
-    def _save(self, record_id: str) -> None:
-        if record_id not in self.undo:
-            rec = self.records.get(record_id)
-            self.undo[record_id] = None if rec is None else copy.deepcopy(rec)
+    def removed(self) -> set[str]:
+        """The ids the open journal saw removed."""
+        return {entry[1] for entry in self.undo if entry[0] == REMOVE}
 
     def rollback(self) -> None:
-        """Put back every record the open journal saved; records added since
-        it opened are dropped."""
-        for rid, prior in self.undo.items():
-            if prior is None:
-                self.records.pop(rid, None)
+        """Undo the open journal's writes, newest first, and start a new
+        journal."""
+        for kind, rid, *inverse in reversed(self.undo):
+            if kind == ADD:
+                del self.records[rid]
+            elif kind == REMOVE:
+                self._put(rid, inverse[0])
+            elif kind == UPDATE:
+                record = self.records[rid]
+                for name, value in inverse[0].items():
+                    if value is ABSENT:
+                        del record[name]
+                    else:
+                        record[name] = value
             else:
-                if rid not in self.records:       # re-inserted at the end
-                    self.ordered = False
-                self.records[rid] = prior
-        self.undo = {}
+                field, length = inverse
+                del self.records[rid][field][length:]
+        self.undo = []
 
     def __len__(self) -> int:
         return len(self.records)
 
     def to_dict(self) -> dict:
         return {"prefix": self.prefix, "counter": self.counter, "records": self.records}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Store":
-        store = cls(data["prefix"])
-        store.counter = data["counter"]
-        store.records = {k: dict(v) for k, v in data["records"].items()}
-        store.ordered = False                     # snapshots sort their keys as strings
-        return store
 
 
 class WorldDatabase:
@@ -182,12 +195,6 @@ class WorldDatabase:
             for app, stores in self._stores.items()
         }
 
-    def load(self, data: dict) -> None:
-        self._stores = {
-            app: {name: Store.from_dict(sd) for name, sd in stores.items()}
-            for app, stores in data.items()
-        }
-
     def digest(self) -> str:
         return digest(self.dump())
 
@@ -196,11 +203,11 @@ class WorldDatabase:
         id counters for `restore_app`."""
         stores = self.app_stores(app_id)
         for store in stores.values():
-            store.undo = {}
+            store.undo = []
         return {name: store.counter for name, store in stores.items()}
 
     def restore_app(self, app_id: str, saved: dict[str, int]) -> None:
-        """Undo every journaled change since `copy_app` returned `saved`."""
+        """Undo every journaled write since `copy_app` returned `saved`."""
         for name, store in self.app_stores(app_id).items():
             store.rollback()
             store.counter = saved[name]

@@ -11,10 +11,6 @@ class PayloadToolMissing(PhonesimError):
     """An event payload names a tool that does not exist; scenario-authoring bug."""
 
 
-class IncompatibleSnapshot(PhonesimError):
-    pass
-
-
 # -- app machines -------------------------------------------------------------
 
 class DuplicateAppId(PhonesimError):

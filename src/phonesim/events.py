@@ -54,15 +54,6 @@ class EventQueue:
         pending = [{"seq": seq, "event": asdict(ev)} for _, seq, ev in sorted(self._heap)]
         return {"pending": pending, "seq": self._seq}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventQueue":
-        q = cls()
-        q._seq = data["seq"]
-        for item in data["pending"]:
-            event = Event(**item["event"])
-            heapq.heappush(q._heap, (event.at, item["seq"], event))
-        return q
-
 
 @functools.cache
 def load_distractor_catalog() -> list[dict]:

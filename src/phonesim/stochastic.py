@@ -3,7 +3,7 @@
 Noise and failure draw from independent streams derived from one root seed,
 so enabling one never perturbs the other. Failure decisions are a pure
 function of (seed, call_site) rather than a stateful stream, which keeps
-snapshots free of RNG cursor bookkeeping.
+checkpoints free of RNG cursor bookkeeping.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Owns the clock, the record stores, the event queue, the registered app
 machines with their per-app sessions, navigation, notification routing, and
 the proposal log. Every state change flows through `invoke_user_tool`,
-`invoke_agent_tool`, or `resolve_due_events`, so a JSON snapshot of this
-object replays identically.
+`invoke_agent_tool`, or `resolve_due_events`, and every app handler that
+writes runs inside `_guarded`, whichever actor calls it. `checkpoint` is the
+world's fingerprint: equal runs give byte-equal checkpoints.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     ArgumentInvalid,
     DuplicateAppId,
     GuardFailed,
-    IncompatibleSnapshot,
     PayloadToolMissing,
     ToolNotAvailableInState,
     WriteInObserveMode,
@@ -32,7 +32,6 @@ from .interfaces import (
     NavigationState,
     Notification,
     NotificationCenter,
-    Proposal,
     ProposalLog,
     UserView,
     navigate,
@@ -164,7 +163,7 @@ class World:
             ctx = ToolContext(db=self.db, app_id=event.app, clock=self.clock,
                               session={}, args=dict(event.args),
                               current_user=self.current_user)
-            outcome = api.handler(ctx)
+            outcome = self._guarded(api.tool, api.handler, ctx)
             actor = {"oracle_user": "user", "oracle_agent": "assistant"}.get(
                 event.kind, "environment")
             self._log_tool(actor, f"{event.app}__{event.tool}", event.args,
@@ -275,15 +274,16 @@ class World:
         return outcome
 
     def _guarded(self, tool: ToolSpec, handler, ctx: ToolContext) -> str:
-        """Run a user or assistant handler; a write that a guard or an
-        argument check rejects leaves the app's stores as they were.
+        """Run an app handler for any actor: the user, the assistant or an
+        event. A write that a guard or an argument check rejects leaves the
+        app's stores as they were.
 
-        A write runs under an undo journal on the app's stores, which saves
-        each record the handler reaches before it can change it. The journal
-        is replayed on `GuardFailed` or `ArgumentInvalid` and closed on every
+        A write runs under an undo journal on the app's stores, which keeps
+        the inverse of each store write the handler makes. The journal is
+        replayed on `GuardFailed` or `ArgumentInvalid` and closed on every
         exit; any other exception propagates and keeps its writes. After a
         write that succeeds, the user's screens of the app no longer hold
-        open a record it removed, whichever surface removed it."""
+        open a record it removed, whichever actor removed it."""
         if tool.read_only:
             return handler(ctx)
         saved = self.db.copy_app(ctx.app_id)
@@ -300,15 +300,15 @@ class World:
 
     def _close_removed(self, app_id: str) -> None:
         """Clear each open-record key of the app's session that names a
-        record this write removed: one the journal saw in a store and no
-        store of the app holds now. (Stores may share ids: ApartmentApp's
-        `saved` list keys its records by apartment id.)"""
+        record this write removed: one the journal saw removed and no store
+        of the app holds now. (Stores may share ids: ApartmentApp's `saved`
+        list keys its records by apartment id.)"""
         session = self.sessions[app_id]
         stores = self.db.app_stores(app_id).values()
         for key in OPEN_KEYS:
             rid = session.get(key)
-            if (rid and any(store.undo.get(rid) is not None for store in stores)
-                    and not any(rid in store.records for store in stores)):
+            if (rid and not any(rid in store.records for store in stores)
+                    and any(rid in store.removed() for store in stores)):
                 session[key] = None
 
     def _respond_to_proposal(self, decision: str) -> str:
@@ -425,9 +425,11 @@ class World:
         return "\n".join(json.dumps(entry, sort_keys=True) for entry in self.event_log)
 
     # ------------------------------------------------------------------
-    # Snapshots
+    # Checkpoint
 
     def checkpoint(self) -> dict:
+        """The whole world as versioned plain JSON: a fingerprint for
+        comparing runs, not a save file."""
         return copy.deepcopy({
             "version": SNAPSHOT_VERSION,
             "app_ids": sorted(self.apps),
@@ -440,26 +442,3 @@ class World:
             "proposals": asdict(self.proposals),
             **{name: getattr(self, name) for name in JSON_FIELDS},
         })
-
-    def restore(self, snapshot: dict) -> None:
-        if snapshot.get("version") != SNAPSHOT_VERSION:
-            raise IncompatibleSnapshot(
-                f"snapshot version {snapshot.get('version')!r} "
-                f"!= engine version {SNAPSHOT_VERSION}")
-        if snapshot.get("app_ids") != sorted(self.apps):
-            raise IncompatibleSnapshot(
-                f"snapshot apps {snapshot.get('app_ids')} do not match the "
-                f"registered apps {sorted(self.apps)}")
-        snapshot = copy.deepcopy(snapshot)
-        self._payloads = {}
-        self.clock = SimClock.from_dict(snapshot["clock"])
-        self.db.load(snapshot["db"])
-        self.queue = EventQueue.from_dict(snapshot["queue"])
-        self.stochastic = StochasticConfig(**snapshot["stochastic"])
-        self.nav = NavigationState(**snapshot["nav"])
-        self.notifications = NotificationCenter(**snapshot["notifications"])
-        self.proposals = ProposalLog(
-            [Proposal(**p) for p in snapshot["proposals"]["proposals"]])
-        for name in JSON_FIELDS:
-            setattr(self, name, snapshot[name])
-

@@ -25,6 +25,7 @@ from phonesim import (
     validate_state_machine,
 )
 from phonesim.apps import BUILDERS, build_app
+from phonesim.database import plain_copy
 from phonesim.errors import NoProposals, PhonesimError
 from phonesim.events import Event
 from phonesim.metrics import acceptance_rate, proposal_rate
@@ -93,7 +94,7 @@ def _world_with(app_id, seed_stores=None):
     world.register_app(build_app(app_id))
     for (store_app, store_name), records in (seed_stores or {}).items():
         for record in records:
-            world.db.store(store_app, store_name).add(dict(record))
+            world.db.store(store_app, store_name).add(plain_copy(record))
     return world
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonesim.apps import BUILDERS, build_app
+from phonesim.database import plain_copy
 from phonesim.errors import ArgumentInvalid, GuardFailed, PhonesimError
 from phonesim.events import Event
 from phonesim.interfaces import HOME
@@ -193,7 +194,7 @@ def _walk(steps, seed):
         world.register_app(build_app(app_id))
     for (app_id, store), records in SEED_RECORDS.items():
         for record in records:
-            world.db.store(app_id, store).add(dict(record))
+            world.db.store(app_id, store).add(plain_copy(record))
     api = [(app_id, a.tool) for app_id in sorted(world.apps)
            for a in world.apps[app_id].api_tools]
     rng = random.Random(seed)
@@ -231,7 +232,7 @@ def _world(app_id):
     for (store_app, store), records in SEED_RECORDS.items():
         if store_app == app_id:
             for record in records:
-                world.db.store(app_id, store).add(dict(record))
+                world.db.store(app_id, store).add(plain_copy(record))
     world.invoke_user_tool(f"{SYSTEM_APP}__open_app", {"app_name": app_id})
     return world
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import shlex
@@ -103,12 +104,15 @@ def test_runs_of_one_scenario_do_not_share_init(tmp_path):
 
 
 def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
-    calls = []
+    """A run reads each script file once, whatever the number of scenarios,
+    and its policies leave the shared steps as they were read."""
+    loaded = []
     real = phonesim.cli.load_script
 
     def counting(path):
-        calls.append(str(path))
-        return real(path)
+        steps = real(path)
+        loaded.append((str(path), steps, copy.deepcopy(steps)))
+        return steps
 
     monkeypatch.setattr(phonesim.cli, "load_script", counting)
     code = main(["run",
@@ -120,7 +124,9 @@ def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
     assert code == 0
     records = (tmp_path / "out" / "cell_noise0_fail0" / "records.jsonl").read_text()
     assert len(records.splitlines()) == 6
-    assert len(calls) <= 4         # one per (policy spec, scenario)
+    assert sorted(path for path, _, _ in loaded) == [
+        str(SCRIPTS / "apartment_assistant.yaml"), str(SCRIPTS / "apartment_user.yaml")]
+    assert all(steps == as_read for _, steps, as_read in loaded)
 
 
 def test_readme_commands_parse():

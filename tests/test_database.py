@@ -4,7 +4,7 @@ import datetime
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import phonesim.database
 from phonesim.database import Store, WorldDatabase, canonical_json, digest, plain_copy
@@ -37,13 +37,20 @@ def test_canonical_json_is_key_order_independent():
 
 
 def test_database_dump_load_digest_roundtrip():
-    db = WorldDatabase()
-    db.create_store("EmailApp", "emails", "E")
-    db.store("EmailApp", "emails").add({"subject": "hi"})
+    """`dump` and `digest` are stable: the same writes give the same dump
+    and digest, a dump read back from JSON digests the same, and taking
+    them changes nothing."""
+    def build():
+        db = WorldDatabase()
+        db.create_store("EmailApp", "emails", "E")
+        db.store("EmailApp", "emails").add({"subject": "hi", "labels": ["a"]})
+        return db
+
+    db = build()
     before = db.digest()
-    db2 = WorldDatabase()
-    db2.load(db.dump())
-    assert db2.digest() == before
+    assert db.dump() == build().dump()
+    assert digest(json.loads(json.dumps(db.dump()))) == before == build().digest()
+    assert db.digest() == before
 
 
 def _containers(value, out):
@@ -86,11 +93,13 @@ def test_copy_restore_app_rolls_back_writes():
     db.create_store("EmailApp", "emails", "E")
     db.store("EmailApp", "emails").add({"subject": "keep", "labels": []})
     saved = db.copy_app("EmailApp")
-    db.store("EmailApp", "emails").get("E001")["labels"].append("edited")
+    db.store("EmailApp", "emails").append("E001", "labels", "edited")
+    db.store("EmailApp", "emails").update("E001", subject="edited", folder="x")
     db.store("EmailApp", "emails").add({"subject": "discard"})
     db.restore_app("EmailApp", saved)
     assert [r["subject"] for r in db.store("EmailApp", "emails").all()] == ["keep"]
-    assert db.store("EmailApp", "emails").get("E001")["labels"] == []
+    assert db.store("EmailApp", "emails").get("E001") == {
+        "id": "E001", "subject": "keep", "labels": []}
 
 
 # -- record order: (len(id), id), kept by the store rather than sorted per read
@@ -142,22 +151,20 @@ def test_rolled_back_remove_puts_the_record_back_in_its_place():
     assert _ids(store.all())[-2:] == ["E1000", "E1001"]
 
 
-def test_snapshot_roundtrip_keeps_record_order():
-    store = _generated(1001)
-    snapshot = json.loads(json.dumps(store.to_dict(), sort_keys=True))
-    assert _ids(Store.from_dict(snapshot).all()) == _ids(store.all())
-    assert _ids(Store.from_dict(snapshot).find(even=False))[-1] == "E1000"
-
-
 # One step of a store's life. ("add", id) adds a record (id None: from
-# next_id); ("remove", k) removes the k-th record; ("rollback", steps) runs
-# the steps under a journal and rolls them back; ("load",) reloads the store
-# from a sort_keys snapshot.
+# next_id); ("remove", k) removes the k-th record; ("update", k, field,
+# value) sets a field of the k-th record, `odd`, which every record has, or
+# `extra`, which a record lacks until an update sets it; ("append", k, item)
+# appends to the k-th record's `tags`; ("rollback", steps) runs the steps
+# under a journal and rolls them back.
 _ADD = st.tuples(st.just("add"), st.none() | st.from_regex(r"E[0-9]{1,4}", fullmatch=True))
 _REMOVE = st.tuples(st.just("remove"), st.integers(0, 2000))
+_UPDATE = st.tuples(st.just("update"), st.integers(0, 2000), st.sampled_from(("odd", "extra")),
+                    st.integers(0, 1))
+_APPEND = st.tuples(st.just("append"), st.integers(0, 2000), st.integers())
+_WRITE = st.one_of(_ADD, _REMOVE, _UPDATE, _APPEND)
 _STEPS = st.lists(st.one_of(
-    _ADD, _REMOVE, st.just(("load",)),
-    st.tuples(st.just("rollback"), st.lists(st.one_of(_ADD, _REMOVE), max_size=6)),
+    _WRITE, st.tuples(st.just("rollback"), st.lists(_WRITE, max_size=6)),
 ), max_size=40)
 
 
@@ -166,23 +173,30 @@ def _step(db, step):
     if step[0] == "add":
         rid = step[1] or f"E{store.counter + 1:03d}"
         if rid not in store.records:
-            store.add({"odd": len(store) % 2}, record_id=step[1])
+            store.add({"odd": len(store) % 2, "tags": []}, record_id=step[1])
         elif step[1] is None:
             store.counter += 1                      # next_id would give a taken id
-    elif step[0] == "remove" and len(store):
-        store.remove(list(store.records)[step[1] % len(store)])
-    elif step[0] == "load":
-        db.load(json.loads(json.dumps(db.dump(), sort_keys=True)))
     elif step[0] == "rollback":
+        before = canonical_json(db.dump())
         saved = db.copy_app("EmailApp")
         for inner in step[1]:
             _step(db, inner)
         db.restore_app("EmailApp", saved)
         db.close_app("EmailApp")
+        assert canonical_json(db.dump()) == before
+    elif len(store):
+        rid = list(store.records)[step[1] % len(store)]
+        if step[0] == "remove":
+            store.remove(rid)
+        elif step[0] == "update":
+            store.update(rid, **{step[2]: step[3]})
+        else:
+            store.append(rid, "tags", step[2])
 
 
 @settings(max_examples=150, deadline=None)
 @given(_STEPS)
+@example([("add", None), ("rollback", [("update", 0, "extra", 1), ("append", 0, 5)])])
 def test_reads_list_records_in_record_order(steps):
     db = WorldDatabase()
     db.create_store("EmailApp", "emails", "E")
@@ -196,6 +210,8 @@ def test_reads_list_records_in_record_order(steps):
 
 
 def test_reads_sort_only_after_an_out_of_order_add_a_rollback_or_a_load(monkeypatch):
+    """Reads sort only after an add, or a rolled-back remove, puts an id
+    before the last one."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -222,17 +238,14 @@ def test_reads_sort_only_after_an_out_of_order_add_a_rollback_or_a_load(monkeypa
     assert sorts_per_read() == 1
 
     saved = db.copy_app("EmailApp")
-    store.get("E002")["even"] = None                 # changed in place: no re-insert
+    store.update("E002", even=None)                  # no re-insert
+    store.remove("E5000")                            # put back at the end
     db.restore_app("EmailApp", saved)
     db.close_app("EmailApp")
     assert sorts_per_read() == 0
 
     saved = db.copy_app("EmailApp")
-    store.remove(store.get("E003")["id"])
+    store.remove("E003")
     db.restore_app("EmailApp", saved)
     db.close_app("EmailApp")
-    assert sorts_per_read() == 1
-
-    db.load(json.loads(json.dumps(db.dump(), sort_keys=True)))
-    store = db.store("EmailApp", "emails")
     assert sorts_per_read() == 1

@@ -6,15 +6,15 @@ from pathlib import Path
 
 import pytest
 
+import phonesim.apps.messaging
 import phonesim.database
 import phonesim.world
 from phonesim.apps import build_app
-from phonesim.database import canonical_json, digest
+from phonesim.database import Store, WorldDatabase, canonical_json, digest
 from phonesim.errors import (
     ArgumentInvalid,
     DuplicateAppId,
     GuardFailed,
-    IncompatibleSnapshot,
     PayloadToolMissing,
     ToolNotAvailableInState,
     WriteInObserveMode,
@@ -22,12 +22,19 @@ from phonesim.errors import (
 from phonesim.events import Event, load_distractor_catalog, sample_noise_events
 from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
 from phonesim.interfaces import render_event_notification
-from phonesim.policies import load_script, scripted_assistant_policy, scripted_user_policy
+from phonesim.policies import (
+    WAIT_ACTION,
+    NoopPolicy,
+    load_script,
+    scripted_assistant_policy,
+    scripted_user_policy,
+)
 from phonesim.runner import build_world, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
 from phonesim.stochastic import StochasticConfig
 from phonesim.turnloop import Episode
 from phonesim.world import FAILURE_OBSERVATION, World
+from test_apps import WALK_SHA256, WALK_STEPS, _walk
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 # Checkpoints of every bundled scenario, oracle and scripted, as one sha256:
@@ -111,14 +118,15 @@ def _journals(world):
             for store in world.db.app_stores(app_id).values()]
 
 
-def _touch_every_route(ctx):
-    """Reach records by every store route and change each one in place."""
+def _write_every_route(ctx):
+    """Change records through each store write: remove, update (of a field
+    the record has and of one it lacks), append and add."""
     emails = ctx.store("emails")
     emails.remove("E003")
-    emails.get("E001")["read"] = True
-    emails.get("E002")["recipients"].append("eve")
-    emails.find(folder="archive")[0]["subject"] = "edited via find"
-    emails.all()[-1]["cc"].append("carol")
+    emails.update("E001", read=True)
+    emails.append("E002", "recipients", "eve")
+    emails.update("E004", subject="edited", label="new")     # no `label` before
+    emails.append("E005", "cc", "carol")
     emails.add(_email(9))
 
 
@@ -137,7 +145,7 @@ def test_guarded_write_journal_on_every_exit(exc):
     next_id = f"E{emails.counter + 1:03d}"
 
     def failing(ctx):
-        _touch_every_route(ctx)
+        _write_every_route(ctx)
         raise exc("rejected after writing")
 
     with pytest.raises(exc):
@@ -148,17 +156,17 @@ def test_guarded_write_journal_on_every_exit(exc):
     assert emails.add(_email(10)) == next_id              # E006
 
     # A successful write is kept.
-    assert world._guarded(write, lambda c: _touch_every_route(c) or "ok", ctx) == "ok"
+    assert world._guarded(write, lambda c: _write_every_route(c) or "ok", ctx) == "ok"
     assert _journals(world) == [None, None]
     assert emails.get("E001")["read"] and emails.get("E003") is None
     assert emails.get("E002")["recipients"] == ["user", "eve"]
-    assert emails.get("E004")["subject"] == "edited via find"
-    assert emails.get("E006")["cc"] == ["carol"] and emails.get("E007") is not None
+    assert emails.get("E004")["subject"] == "edited" and emails.get("E004")["label"] == "new"
+    assert emails.get("E005")["cc"] == ["carol"] and emails.get("E007") is not None
     kept = world.db_digest()
 
     # Any other exception propagates and keeps its writes, as before.
     def crashing(ctx):
-        ctx.store("emails").get("E001")["body"] = "crashed"
+        ctx.store("emails").update("E001", body="crashed")
         ctx.store("emails").add(_email(11))
         raise RuntimeError("not a guard")
 
@@ -171,34 +179,38 @@ def test_guarded_write_journal_on_every_exit(exc):
 
 def test_write_deep_copies_only_the_records_it_touches(monkeypatch):
     """A write's cost grows with what it changes, not with the store: at 10k
-    records each call deep-copies at most one record for its rollback."""
+    records no call deep-copies anything, and each call's journal holds one
+    entry per store write it made (a move, a send, and a move to an unknown
+    folder that is refused before it writes)."""
     world = make_world("EmailApp")
     emails = world.db.store("EmailApp", "emails")
     for i in range(10_000):
         emails.add(_email(i))
-    originals = {id(rec) for rec in emails.records.values()}
-    copied = []
-    real = copy.deepcopy
+    copies, journals = [], []
+    real_deepcopy, real_copy_app = copy.deepcopy, WorldDatabase.copy_app
 
     def counting(x, memo=None, _nil=[]):
-        if memo is not None:             # recursion inside one deep copy
-            return real(x, memo)
-        memo = {}
-        out = real(x, memo)
-        copied[-1] += len(memo.keys() & originals)
-        return out
+        copies.append(x)
+        return real_deepcopy(x, memo)
+
+    def opening(db, app_id):
+        saved = real_copy_app(db, app_id)
+        # A rollback starts a new list, so these keep what was journaled.
+        journals.append([store.undo for store in db.app_stores(app_id).values()])
+        return saved
 
     monkeypatch.setattr(phonesim.database.copy, "deepcopy", counting)
+    monkeypatch.setattr(WorldDatabase, "copy_app", opening)
     calls = [("EmailApp__move_email", {"email_id": "E042", "folder": "archive"}),
              ("EmailApp__send_email", {"recipients": ["a@b.c"], "subject": "s", "body": "b"}),
              ("EmailApp__move_email", {"email_id": "E043", "folder": "spam"})]
     for qualified, args in calls:
-        copied.append(0)
         try:
             world.invoke_agent_tool(qualified, args, mode="execute")
         except GuardFailed:
             pass
-    assert copied == [1, 0, 1]
+    assert copies == []
+    assert [sum(map(len, journal)) for journal in journals] == [1, 1, 0]
     assert emails.get("E042")["folder"] == "archive"
     assert emails.get("E043")["folder"] == "inbox"
     assert len(emails) == 10_001
@@ -341,6 +353,46 @@ def test_event_with_unknown_tool_raises_payload_missing():
         world.resolve_due_events()
 
 
+def test_event_write_that_fails_rolls_back_and_aborts_the_episode(monkeypatch):
+    """An event's handler writes (a new conversation and its first message)
+    and then a guard refuses: the episode aborts and the stores are as they
+    were before the event."""
+    real = phonesim.apps.messaging._append_message
+
+    def append_then_refuse(store, conversation_id, *rest):
+        real(store, conversation_id, *rest)
+        raise GuardFailed("refused after writing")
+
+    monkeypatch.setattr(phonesim.apps.messaging, "_append_message", append_then_refuse)
+    world = make_world("MessagingApp")
+    world.db.store("MessagingApp", "conversations").add(
+        {"title": "Sam", "participants": ["sam", "user"], "messages": []})
+    world.schedule_event(Event(id="e1", kind="environment", at=60, app="MessagingApp",
+                               tool="receive_message", args={"sender": "Ana", "message": "hi"}))
+    before = canonical_json(world.db.dump())
+    episode = Episode(world, NoopPolicy(), NoopPolicy(WAIT_ACTION), max_turns=5)
+    episode.run()
+    assert episode.aborted_reason == "bad event payload: refused after writing"
+    assert world.turn == 1 and world.event_log == []
+    assert canonical_json(world.db.dump()) == before
+    assert _journals(world) == [None]
+
+
+def test_oracle_delete_closes_the_record_on_the_users_screen():
+    world = make_world("ContactsApp")
+    contacts = world.db.store("ContactsApp", "contacts")
+    for name in ("Ana", "Bo"):
+        contacts.add({"name": name, "email": "", "phone": "", "notes": ""})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
+    world.invoke_user_tool("ContactsApp__open_contact", {"contact_id": "C001"})
+    world.schedule_event(Event(id="o1", kind="oracle_agent", at=60, app="ContactsApp",
+                               tool="delete_contact", args={"contact_id": "C001"}))
+    world.resolve_due_events()
+    assert world.tool_log[-1]["actor"] == "assistant"
+    assert contacts.get("C001") is None
+    assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": None}
+
+
 def test_event_notifications_route_per_recipient():
     world = make_world("EmailApp")
     world.schedule_event(Event(id="e1", kind="environment", at=30,
@@ -350,55 +402,6 @@ def test_event_notifications_route_per_recipient():
     world.resolve_due_events()
     assert world.notifications.user_inbox
     assert not world.notifications.assistant_inbox
-
-
-def test_checkpoint_restore_roundtrip_and_compat_guard():
-    world = make_world("EmailApp")
-    world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
-    world.invoke_agent_tool("EmailApp__send_email",
-                            {"recipients": ["a"], "subject": "s", "body": "b"},
-                            mode="execute")
-    world.schedule_event(Event(id="later", kind="environment", at=120,
-                               app="EmailApp", tool="deliver_email",
-                               args={"sender": "a", "subject": "s", "body": "b"}))
-    snap = world.checkpoint()
-    world.invoke_agent_tool("EmailApp__delete_email", {"email_id": "E001"},
-                            mode="execute")
-    world.restore(snap)
-    assert world.checkpoint() == snap
-    assert [(t, e.id) for t, e in world.queue.pop_due(120)] == [(120, "later")]
-
-    other = make_world("CabApp")
-    with pytest.raises(IncompatibleSnapshot):
-        other.restore(snap)
-    bad = dict(snap, version=999)
-    with pytest.raises(IncompatibleSnapshot):
-        world.restore(bad)
-
-
-def test_restore_reproduces_the_checkpoint_bytes():
-    world = make_world("EmailApp", "MessagingApp",
-                       stochastic=StochasticConfig(noise_rate=2, failure_prob=0, seed=1))
-    world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
-    world.invoke_user_tool("SystemApp__go_home", {})                  # EmailApp to the background
-    world.invoke_user_tool("SystemApp__open_app", {"app_name": "MessagingApp"})
-    world.schedule_event(Event(id="now", kind="environment", at=30,
-                               app="MessagingApp", tool="receive_message",
-                               args={"sender": "Sam", "message": "hi"}))
-    world.schedule_event(Event(id="later", kind="environment", at=600,
-                               app="EmailApp", tool="deliver_email",
-                               args={"sender": "a", "subject": "s", "body": "b"}))
-    world.turn += 1
-    world.resolve_due_events()                                        # notifications not drained
-    world.post_proposal("reply to Sam")
-    world.invoke_user_tool("MessagingApp__list_recent_conversations", {})   # while pending
-    assert world.notifications.user_inbox and world.notifications.assistant_inbox
-    assert world.proposals.pending().user_actions_while_pending == 1
-    assert world.nav.background_stack == ["EmailApp"] and len(world.queue) == 1
-
-    before = canonical_json(world.checkpoint())
-    world.restore(world.checkpoint())
-    assert canonical_json(world.checkpoint()) == before
 
 
 def _pack_checkpoints():
@@ -424,6 +427,20 @@ def _pack_checkpoints():
 
 
 def test_pack_checkpoints_are_frozen():
+    text = "\n".join(_pack_checkpoints()) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PACK_CHECKPOINTS_SHA256
+
+
+def test_handlers_change_records_only_through_store_writes(monkeypatch):
+    """With `get`, `all` and `find` returning deep copies, a handler that
+    changed a record it read in place would lose the change. The frozen
+    walk and the pack's checkpoints, noise cells included, still match."""
+    for name in ("get", "all", "find"):
+        read = getattr(Store, name)
+        monkeypatch.setattr(Store, name, lambda *a, _read=read, **kw: copy.deepcopy(
+            _read(*a, **kw)))
+    transcript, _ = _walk(WALK_STEPS, seed=7)
+    assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == WALK_SHA256
     text = "\n".join(_pack_checkpoints()) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PACK_CHECKPOINTS_SHA256
 
@@ -547,17 +564,3 @@ def test_event_lookup_failures_raise_on_every_delivery():
             world.resolve_due_events()
     assert [entry["id"] for entry in world.event_log] == ["good"]
     assert len(world.db.store("EmailApp", "emails")) == 1
-
-
-def test_restore_then_more_events_match_a_world_never_restored():
-    scenario = parse_scenario(dict(NOISY, max_turns=30))
-    kept, restored = (build_world(scenario, stochastic=NOISE) for _ in range(2))
-    for world in (kept, restored):
-        for _ in range(10):
-            world.resolve_due_events()
-    restored.restore(restored.checkpoint())
-    for world in (kept, restored):
-        for _ in range(10):
-            world.resolve_due_events()
-    assert len(kept.event_log) > 300
-    assert canonical_json(restored.checkpoint()) == canonical_json(kept.checkpoint())
