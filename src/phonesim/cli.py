@@ -1,7 +1,8 @@
 """Command-line entry point: validate scenario packs, run benchmark sweeps,
 and aggregate reports.
 
-Exit codes: 0 success, 1 validation or metric error, 2 aborted runs present.
+Exit codes: 0 success, 1 input, validation or metric error, 2 aborted runs
+present.
 """
 
 from __future__ import annotations
@@ -95,15 +96,6 @@ class _ModeSplitPolicy:
         return policy.act(view, feedback)
 
 
-def _policy_label(spec: str) -> str:
-    if spec.startswith("llm:"):
-        try:
-            return llm_mod.load_llm_config(spec.partition(":")[2]).model
-        except Exception:
-            return spec
-    return spec
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 
@@ -146,7 +138,8 @@ def cmd_run(args) -> int:
 
     noise_levels = _parse_sweep(args.noise_rate)
     fail_levels = _parse_sweep(args.failure_prob)
-    model_label = _policy_label(args.assistant_policy)
+    spec = args.assistant_policy
+    model_label = llm_mod.load_llm_config(spec[4:]).model if spec.startswith("llm:") else spec
     # One pair of factories per scenario, built before any episode runs.
     # Paired by position, not by id: two files may share a scenario id.
     scripts: dict[str, list] = {}
@@ -241,11 +234,7 @@ def cmd_report(args) -> int:
     if not records:
         print(f"no records found under {root}", file=sys.stderr)
         return 1
-    try:
-        report = aggregate_report(records, k=args.runs)
-    except PhonesimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = aggregate_report(records, k=args.runs)
     out = Path(args.out) if args.out else root
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(render_json(report), "utf-8")
@@ -256,6 +245,15 @@ def cmd_report(args) -> int:
 
 
 # ----------------------------------------------------------------------
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`."""
+    def integer(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+    return integer
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -272,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenarios", nargs="+", required=True)
     p_run.add_argument("--user-policy", default="noop")
     p_run.add_argument("--assistant-policy", default="noop")
-    p_run.add_argument("--runs", type=int, default=1)
+    p_run.add_argument("--runs", type=_at_least(0), default=1)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--noise-rate", default="0",
                        help="events per simulated minute; comma list sweeps cells")
     p_run.add_argument("--failure-prob", default="0",
                        help="per-call failure probability; comma list sweeps cells")
-    p_run.add_argument("--max-turns", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--max-turns", type=_at_least(1), default=None)
+    p_run.add_argument("--jobs", type=_at_least(1), default=1)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--oracle", action="store_true",
                        help="play the authored solution instead of policies")
@@ -294,8 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A simulator error it does not report itself, such
+    as an input file that does not load, ends it with one `error:` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PhonesimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ class UnknownState(PhonesimError):
 
 
 class ToolNotAvailableInState(PhonesimError):
-    """Raised when the user invokes a tool outside the current screen's table."""
+    """Raised when an actor invokes a tool that its current screen or mode does not offer."""
 
 
 class GuardFailed(PhonesimError):

@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import EndpointUnavailable, RetriesExhausted
+from .errors import EndpointUnavailable, RetriesExhausted, ScenarioParseError
 from .interfaces import AgentView, UserView
-from .yamlfile import load_yaml
+from .yamlfile import read_yaml
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,11 @@ class LLMConfig:
 
 
 def load_llm_config(path) -> LLMConfig:
-    return LLMConfig(**load_yaml(path))
+    data = read_yaml(path)
+    try:
+        return LLMConfig(**data)
+    except TypeError as exc:      # not a mapping, an unknown key or a missing one
+        raise ScenarioParseError(f"{path}: not an LLM config: {exc}") from exc
 
 
 class LLMClient:

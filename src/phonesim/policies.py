@@ -12,7 +12,7 @@ from typing import Protocol
 
 from .errors import ScenarioParseError
 from .react import format_step
-from .yamlfile import load_yaml
+from .yamlfile import read_yaml
 
 WAIT_ACTION = "AgentUserInterface__wait"
 NOOP_ACTION = "noop"
@@ -70,7 +70,7 @@ class ScriptedPolicy:
 
 
 def load_script(path) -> list[dict]:
-    data = load_yaml(path)
+    data = read_yaml(path)
     if isinstance(data, dict):
         data = data.get("steps")
     if not isinstance(data, list):

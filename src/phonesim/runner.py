@@ -3,6 +3,8 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .database import plain_copy
 from .errors import OracleExecutionError
 from .events import sample_noise_events
@@ -18,12 +20,10 @@ ORACLE_KINDS = ("environment", "oracle_user", "oracle_agent", "completion")
 def build_world(scenario: Scenario, mode: str = "policy",
                 stochastic: StochasticConfig | None = None) -> World:
     """mode="policy": scripted environment plus sampled noise, no oracle
-    steps. mode="oracle": the full scripted solution, no noise, no failures."""
+    steps. mode="oracle": the full scripted solution, no noise, and no
+    assistant call to fail. `stochastic` defaults to the scenario's block."""
     assert mode in ("policy", "oracle")
-    if stochastic is None:
-        stochastic = StochasticConfig.from_dict(scenario.stochastic)
-    if mode == "oracle":
-        stochastic = StochasticConfig(seed=stochastic.seed)
+    stochastic = stochastic or scenario.stochastic
 
     world = World(start_time=scenario.start_time,
                   tick_seconds=scenario.tick_seconds,
@@ -127,15 +127,14 @@ def run_episode(scenario: Scenario, user_policy, assistant_policy,
                 noise_rate: float | None = None,
                 failure_prob: float | None = None,
                 max_turns: int | None = None) -> dict:
-    base = StochasticConfig.from_dict(scenario.stochastic)
-    stochastic = StochasticConfig(
+    base = scenario.stochastic
+    stochastic = replace(
+        base, seed=seed,
         noise_rate=base.noise_rate if noise_rate is None else noise_rate,
-        failure_prob=base.failure_prob if failure_prob is None else failure_prob,
-        seed=seed,
-    )
+        failure_prob=base.failure_prob if failure_prob is None else failure_prob)
     world = build_world(scenario, mode="policy", stochastic=stochastic)
     episode = Episode(world, user_policy, assistant_policy,
-                      max_turns=max_turns or scenario.max_turns)
+                      max_turns=scenario.max_turns if max_turns is None else max_turns)
     episode.run()
     verdict = evaluate_success(world, scenario)
 

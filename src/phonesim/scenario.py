@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .apps import BUILDERS, build_app
-from .errors import ArgumentInvalid, ScenarioParseError, SchemaError
+from .errors import ArgumentInvalid, SchemaError
 from .events import Event
 from .fsm import AppStateMachine
 from .stochastic import StochasticConfig
-from .yamlfile import load_yaml
+from .yamlfile import read_yaml
 
 SCHEMA_VERSION = 1
 
@@ -70,7 +68,7 @@ class Scenario:
     assistant_instructions: str = ""
     max_turns: int = 10
     tick_seconds: int = 60
-    stochastic: dict = field(default_factory=dict)
+    stochastic: StochasticConfig = field(default_factory=StochasticConfig)
     # One machine per app id, built when the scenario is parsed and shared,
     # never mutated, by every world and thread that runs the scenario.
     machines: dict[str, AppStateMachine] = field(
@@ -151,8 +149,8 @@ def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
                  app=app, tool=tool, args=args, notify=notify)
 
 
-def _parse_stochastic(data, where: str) -> dict:
-    """The raw `stochastic:` block, checked by building its config once."""
+def _parse_stochastic(data, where: str) -> StochasticConfig:
+    """The `stochastic:` block as a config: rates as floats, seed as an int."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a mapping")
     unknown = [key for key in data if key not in STOCHASTIC_KEYS]
@@ -163,10 +161,9 @@ def _parse_stochastic(data, where: str) -> dict:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise SchemaError(f"{where}.{key}: expected {what}, got {value!r}")
     try:
-        StochasticConfig.from_dict(data)
+        return StochasticConfig(**{k: v if k == "seed" else float(v) for k, v in data.items()})
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    return dict(data)
 
 
 def _parse_criterion(data: dict, index: int) -> Criterion:
@@ -314,10 +311,4 @@ def _check_criteria(scenario: Scenario, source: str) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        data = load_yaml(path)
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: invalid YAML: {exc}") from exc
-    except OSError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
-    return parse_scenario(data, source=str(path))
+    return parse_scenario(read_yaml(path), source=str(path))

@@ -25,14 +25,6 @@ class StochasticConfig:
         if not 0.0 <= self.failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StochasticConfig":
-        return cls(
-            noise_rate=float(data.get("noise_rate", 0.0)),
-            failure_prob=float(data.get("failure_prob", 0.0)),
-            seed=int(data.get("seed", 0)),
-        )
-
 
 def derive_seed(root: int, *labels) -> int:
     """A 64-bit stream seed derived from the root seed and string labels."""

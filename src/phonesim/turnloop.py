@@ -4,22 +4,18 @@ Each turn: deliver due events, give the user their single action, then run
 the assistant phase that its current mode allows. While a proposal awaits
 the user's decision, the assistant does nothing. In execute mode the
 assistant works until it reports back to the user or runs out of steps.
+
+The loop sequences phases and records what each side saw and did. Every
+action, proposals and reports included, runs through the `World`, which alone
+changes the assistant's mode and task; the loop changes only the turn counter.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    EpisodeFinished,
-    MalformedAction,
-    PhonesimError,
-    ProposalAlreadyPending,
-)
+from .errors import EpisodeFinished, MalformedAction, PhonesimError
 from .policies import NOOP_ACTION, WAIT_ACTION, Policy
 from .react import Step, parse_step
 from .world import World
-
-PROPOSE = "AgentUserInterface__propose_task"
-REPORT = "AgentUserInterface__send_message_to_user"
 
 OBSERVE_STEPS = 5      # assistant steps per turn while observing
 EXECUTE_STEPS = 10     # assistant steps per turn while executing a task
@@ -55,7 +51,7 @@ class Episode:
         try:
             world.resolve_due_events()
         except PhonesimError as exc:
-            self._abort(f"bad event payload: {exc}")
+            self._finish(f"bad event payload: {exc}")
             return
         self._user_phase()
         if world.assistant_mode == "observe":
@@ -64,8 +60,7 @@ class Episode:
             self._assistant_phase("execute", EXECUTE_STEPS)
         # awaiting_confirmation: the assistant holds still until the user decides
         if world.completed or world.turn >= self.max_turns:
-            world.proposals.finalize(world.turn)
-            self.finished = True
+            self._finish()
 
     # ------------------------------------------------------------------
 
@@ -119,46 +114,22 @@ class Episode:
                                      self._last_agent_feedback, actor="assistant")
             if step is None:
                 continue
-            observation, phase_over = self._run_agent_action(step, mode)
+            idle = step.action in (WAIT_ACTION, NOOP_ACTION)
+            observation = "waiting" if idle else self._run_agent_action(step, mode)
             self._last_agent_feedback = observation
             self._record(actor="assistant", phase=f"assistant-{mode}", step=step,
                          observation=observation)
-            if phase_over or world.assistant_mode != mode:
+            # A proposal or a report ends the phase by changing the mode.
+            if idle or world.assistant_mode != mode:
                 return
         if mode == "execute":
-            # Out of steps without reporting back: the task ends incomplete.
-            world.assistant_mode = "observe"
-            world.active_task = None
-            world.notifications.message_user(
-                "The assistant ran out of steps before finishing the task.")
+            world.close_task("The assistant ran out of steps before finishing the task.")
 
-    def _run_agent_action(self, step: Step, mode: str) -> tuple[str, bool]:
-        world = self.world
-        if step.action in (WAIT_ACTION, NOOP_ACTION):
-            return "waiting", True
-        if step.action == PROPOSE:
-            if mode != "observe":
-                return "Error: proposals can only be made while observing", False
-            task = step.action_input.get("task", "")
-            if not task:
-                return "Error: propose_task requires a non-empty 'task'", False
-            try:
-                world.post_proposal(task)
-            except ProposalAlreadyPending as exc:
-                return f"Error: {exc}", False
-            return "proposal sent to the user", True
-        if step.action == REPORT:
-            if mode != "execute":
-                return "Error: send_message_to_user is only available while executing", False
-            message = step.action_input.get("message", "")
-            world.notifications.message_user(f"Assistant: {message}")
-            world.assistant_mode = "observe"
-            world.active_task = None
-            return "message delivered; task closed", True
+    def _run_agent_action(self, step: Step, mode: str) -> str:
         try:
-            return world.invoke_agent_tool(step.action, step.action_input, mode=mode), False
+            return self.world.invoke_agent_tool(step.action, step.action_input, mode=mode)
         except PhonesimError as exc:
-            return f"Error: {exc}", False
+            return f"Error: {exc}"
 
     # ------------------------------------------------------------------
 
@@ -194,7 +165,7 @@ class Episode:
     def _reward(self, value: int, reason: str) -> None:
         self.rewards.append({"turn": self.world.turn, "reward": value, "reason": reason})
 
-    def _abort(self, reason: str) -> None:
-        self.aborted_reason = reason
+    def _finish(self, aborted_reason: str | None = None) -> None:
+        self.aborted_reason = aborted_reason
         self.world.proposals.finalize(self.world.turn)
         self.finished = True

@@ -2,10 +2,12 @@
 
 Owns the clock, the record stores, the event queue, the registered app
 machines with their per-app sessions, navigation, notification routing, and
-the proposal log. Every state change flows through `invoke_user_tool`,
-`invoke_agent_tool`, or `resolve_due_events`, and every app handler that
-writes runs inside `_guarded`, whichever actor calls it. `checkpoint` is the
-world's fingerprint: equal runs give byte-equal checkpoints.
+the proposal lifecycle (proposal log, assistant mode and task). Every state
+change flows through `invoke_user_tool`, `invoke_agent_tool`,
+`resolve_due_events` or `close_task`; a loop driving the world changes only
+`turn`, and calls `proposals.finalize` when the episode ends. Every app
+handler that writes runs inside `_guarded`, whichever actor calls it.
+`checkpoint` is the world's fingerprint: equal runs give byte-equal ones.
 """
 
 from __future__ import annotations
@@ -319,10 +321,14 @@ class World:
             self.notifications.message_assistant(
                 "The user accepted your proposal; carry it out now.")
             return "accepted the assistant's proposal"
+        self.close_task("The user rejected your proposal.", to="assistant")
+        return "rejected the assistant's proposal"
+
+    def close_task(self, text: str, to: str = "user") -> None:
+        """End the assistant's task, done or not: observe again, and tell `to`."""
         self.assistant_mode = "observe"
         self.active_task = None
-        self.notifications.message_assistant("The user rejected your proposal.")
-        return "rejected the assistant's proposal"
+        self.notifications.deliver(Notification(text, text), to)
 
     # ------------------------------------------------------------------
     # Assistant side
@@ -342,6 +348,8 @@ class World:
         if qualified == f"{SYSTEM_APP}__current_time":
             return f"current time: {self.clock.render()}"
         app_id, _, tool_name = qualified.partition("__")
+        if app_id == AGENT_UI and tool_name in ("propose_task", "send_message_to_user"):
+            return self._interface_action(tool_name, args, mode)
         machine = self.apps.get(app_id)
         api = machine.api_tool(tool_name) if machine else None
         if api is None or api.tool.environment_only:
@@ -367,10 +375,22 @@ class World:
         self._log_tool("assistant", qualified, args, mode=mode, outcome=outcome)
         return outcome
 
-    def post_proposal(self, content: str) -> None:
-        self.proposals.post(content, self.turn)
+    def _interface_action(self, tool_name: str, args: dict, mode: str) -> str:
+        """Propose a task while observing, or report back and close the task
+        while executing. Not logged, not a read, never failure-injected."""
+        if tool_name == "send_message_to_user":
+            if mode != "execute":
+                raise ToolNotAvailableInState(f"{tool_name} is only available while executing")
+            self.close_task(f"Assistant: {args.get('message', '')}")
+            return "message delivered; task closed"
+        if mode != "observe":
+            raise ToolNotAvailableInState("proposals can only be made while observing")
+        if not (task := args.get("task")):
+            raise ArgumentInvalid(f"{tool_name} requires a non-empty 'task'")
+        self.proposals.post(task, self.turn)
         self.assistant_mode = "awaiting_confirmation"
-        self.notifications.message_user(f"Assistant proposal: {content}")
+        self.notifications.message_user(f"Assistant proposal: {task}")
+        return "proposal sent to the user"
 
     # ------------------------------------------------------------------
     # Views

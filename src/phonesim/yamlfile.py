@@ -6,6 +6,8 @@ import gc
 
 import yaml
 
+from .errors import ScenarioParseError
+
 # PyYAML's C loader is several times faster than the pure-Python one on large
 # scenarios. Both use the safe constructor and build the same objects.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -29,3 +31,14 @@ def load_yaml(path):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def read_yaml(path):
+    """`load_yaml`, raising `ScenarioParseError` with the path and a one-line
+    message for a file that cannot be read or is not valid YAML."""
+    try:
+        return load_yaml(path)
+    except yaml.YAMLError as exc:
+        raise ScenarioParseError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from exc
+    except OSError as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from exc

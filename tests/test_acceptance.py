@@ -9,6 +9,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,9 +33,11 @@ from phonesim.metrics import acceptance_rate, proposal_rate
 from phonesim.policies import load_script, scripted_assistant_policy, scripted_user_policy
 from phonesim.react import format_step
 from phonesim.runner import build_world, evaluate_success
+from phonesim.scenario import parse_scenario
 from phonesim.stochastic import maybe_fail_tool, noise_arrival_times
 from phonesim.turnloop import Episode
 from phonesim.world import AGENT_UI, SYSTEM_APP
+from phonesim.yamlfile import load_yaml
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 
@@ -505,14 +508,13 @@ def test_criterion_07_stochastic_calibration():
 
 
 def _scripted_apartment_run(seed, stochastic_overrides=None):
-    scenario = load_scenario(DATA / "scenarios/apartment_budget.yaml")
+    """`stochastic_overrides` replaces the scenario's `stochastic:` block."""
+    data = load_yaml(DATA / "scenarios/apartment_budget.yaml")
     if stochastic_overrides is not None:
-        scenario.stochastic = stochastic_overrides
-    stoch = StochasticConfig(
-        noise_rate=scenario.stochastic.get("noise_rate", 0),
-        failure_prob=scenario.stochastic.get("failure_prob", 0),
-        seed=seed)
-    world = build_world(scenario, mode="policy", stochastic=stoch)
+        data["stochastic"] = stochastic_overrides
+    scenario = parse_scenario(data)
+    world = build_world(scenario, mode="policy",
+                        stochastic=replace(scenario.stochastic, seed=seed))
     episode = Episode(
         world,
         scripted_user_policy(load_script(DATA / "scripts/apartment_user.yaml")),

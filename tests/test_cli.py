@@ -7,8 +7,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+import yaml
+
 import phonesim.cli
 from phonesim.cli import build_parser, main
+from phonesim.policies import load_script
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 SCENARIOS = DATA / "scenarios"
@@ -217,3 +221,79 @@ def test_failing_event_aborts_only_its_own_episode(tmp_path):
     for record in by_id["broken_move"]:
         assert "E999" in record["aborted_reason"] and record["turns_used"] == 1
     assert not any("aborted_reason" in r for r in by_id["email_reply"])
+
+
+def _run_fails_with_one_line(capsys, argv):
+    """`phonesim run` ends with exit code 1 and one `error:` line, no traceback."""
+    assert main(["run", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
+
+
+def test_run_reports_a_scenario_that_fails_its_schema(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("schema_version: 1\nid: bad\napps: [EmailApp]\n"
+                   "start_time: '2025-01-01 08'\nvalidation: []\n", "utf-8")
+    err = _run_fails_with_one_line(capsys, ["--scenarios", str(bad),
+                                            "--out", str(tmp_path / "out")])
+    assert "validation: at least one criterion is required" in err
+
+
+def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("steps: [unclosed\n", "utf-8")
+    not_config = tmp_path / "not_config.yaml"
+    not_config.write_text("model: m\ncolour: blue\n", "utf-8")
+    scenario = str(SCENARIOS / "email_reply.yaml")
+    for spec in (f"scripted:{tmp_path / 'missing.yaml'}", f"scripted:{broken}",
+                 f"llm:{tmp_path / 'missing.yaml'}", f"llm:{broken}", f"llm:{not_config}"):
+        side = "--assistant-policy" if spec.startswith("llm:") else "--user-policy"
+        err = _run_fails_with_one_line(capsys, ["--scenarios", scenario, side, spec,
+                                                "--out", str(tmp_path / "out")])
+        assert spec.partition(":")[2] in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--max-turns", "0"), ("--max-turns", "-1"),
+                                        ("--jobs", "0"), ("--runs", "-1"),
+                                        ("--jobs", "two")])
+def test_run_rejects_out_of_range_counts(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer of at least" in capsys.readouterr().err
+
+
+def test_run_accepts_the_smallest_counts():
+    args = build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", "--runs", "0",
+                                      "--max-turns", "1", "--jobs", "1"])
+    assert (args.runs, args.max_turns, args.jobs) == (0, 1, 1)
+
+
+def test_mode_split_assistant_spec_matches_the_unsplit_script(tmp_path):
+    """`observe=SPEC,execute=SPEC` from the README: the apartment script, cut
+    into its ungated steps and its `mode:execute` steps, writes the same
+    records as the whole script."""
+    steps = load_script(SCRIPTS / "apartment_assistant.yaml")
+    execute = [s for s in steps if s.get("when") == "mode:execute"]
+    assert execute and len(execute) < len(steps)
+    for name, part in (("observe", [s for s in steps if s not in execute]),
+                       ("execute", execute)):
+        (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump({"steps": part}), "utf-8")
+    split = (f"observe=scripted:{tmp_path / 'observe.yaml'},"
+             f"execute=scripted:{tmp_path / 'execute.yaml'}")
+    records = []
+    for spec in (f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}", split):
+        out = tmp_path / str(len(records))
+        assert main(["run", "--scenarios", str(SCENARIOS / "apartment_budget.yaml"),
+                     "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",
+                     "--assistant-policy", spec, "--runs", "3", "--seed", "4",
+                     "--noise-rate", "0,2", "--out", str(out)]) == 0
+        cells = sorted(out.glob("*/records.jsonl"))
+        assert len(cells) == 2
+        # The records name the policy spec as the model; all else must match.
+        records.append([{**json.loads(line), "model": None}
+                        for path in cells for line in path.read_text().splitlines()])
+    assert len(records[0]) == 6 and all(r["success"] for r in records[0])
+    assert records[0] == records[1]

@@ -9,6 +9,7 @@ import yaml
 from phonesim.errors import SchemaError
 from phonesim.runner import build_world, evaluate_success, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
+from phonesim.stochastic import StochasticConfig
 from phonesim.yamlfile import load_yaml
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
@@ -65,6 +66,17 @@ def test_bad_stochastic_block_is_a_schema_error(block):
     doc = dict(base_doc(), stochastic=block)
     with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic[.:]"):
         parse_scenario(doc)
+
+
+def test_stochastic_block_is_parsed_once_into_its_config():
+    """Rates become floats and the seed stays an integer, so a world built
+    from the scenario checkpoints the same bytes however the block was
+    written."""
+    scenario = parse_scenario(dict(base_doc(), stochastic={"noise_rate": 4, "seed": 3}))
+    assert scenario.stochastic == StochasticConfig(noise_rate=4.0, seed=3)
+    assert type(scenario.stochastic.noise_rate) is float
+    assert build_world(scenario).stochastic is scenario.stochastic
+    assert parse_scenario(base_doc()).stochastic == StochasticConfig()
 
 
 @pytest.mark.parametrize("key,value", [

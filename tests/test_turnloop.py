@@ -1,13 +1,24 @@
+import hashlib
+import json
+from importlib import resources
+from pathlib import Path
+
 from phonesim.apps import build_app
 from phonesim.policies import (
     WAIT_ACTION,
     NoopPolicy,
     ScriptedPolicy,
+    load_script,
     scripted_assistant_policy,
     scripted_user_policy,
 )
+from phonesim.runner import build_world
+from phonesim.scenario import load_scenario
+from phonesim.stochastic import StochasticConfig, run_seed
 from phonesim.turnloop import Episode
 from phonesim.world import World
+
+DATA = Path(str(resources.files("phonesim").joinpath("data")))
 
 
 def make_world():
@@ -121,3 +132,61 @@ def test_completion_event_ends_episode_early():
     episode.run()
     assert world.completed
     assert world.turn == 2
+
+
+# ---------------------------------------------------------------------------
+# Frozen transcripts: what each actor did and saw, and the rewards, for the
+# bundled pack under the apartment scripts and for two crafted episodes that
+# reach every interface observation. A refactor of the turn loop or of the
+# proposal lifecycle must leave the sha256 unchanged.
+
+TRANSCRIPT_CELLS = ((0.0, 0.0), (0.0, 0.1), (2.0, 0.0), (2.0, 0.1))
+TRANSCRIPTS_SHA256 = "15bddcc227fa7308cf6ccca2060e0eb46973bc01082bd05f0e3d7625c4ffffd4"
+
+
+def _transcript(episode):
+    return json.dumps({"steps": episode.steps, "view_trace": episode.view_trace,
+                       "rewards": episode.rewards}, sort_keys=True)
+
+
+def _pack_transcripts():
+    user = load_script(DATA / "scripts/apartment_user.yaml")
+    assistant = load_script(DATA / "scripts/apartment_assistant.yaml")
+    for path in sorted((DATA / "scenarios").glob("*.yaml")):
+        scenario = load_scenario(path)
+        for noise_rate, failure_prob in TRANSCRIPT_CELLS:
+            world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
+                noise_rate=noise_rate, failure_prob=failure_prob,
+                seed=run_seed(7, scenario.id, 0)))
+            episode = Episode(world, scripted_user_policy(user),
+                              scripted_assistant_policy(assistant),
+                              max_turns=scenario.max_turns)
+            episode.run()
+            yield _transcript(episode)
+    accept = [{"action": "AgentUserInterface__accept_proposal", "when": "proposal_pending"}]
+    reads = [{"action": "EmailApp__list_emails", "when": "mode:execute"}] * 12
+    # The execute budget runs out before the assistant reports back.
+    yield _transcript(run(accept, [PROPOSE] + reads, max_turns=3)[1])
+    # Each refused interface action, then a propose made while executing.
+    misuse = [
+        {"action": "AgentUserInterface__send_message_to_user",
+         "action_input": {"message": "too early"}},
+        {"action": "AgentUserInterface__propose_task", "action_input": {"task": ""}},
+        PROPOSE,
+        {"action": "AgentUserInterface__propose_task",
+         "action_input": {"task": "again"}, "when": "mode:execute"},
+        {"action": "AgentUserInterface__send_message_to_user",
+         "action_input": {"message": "done"}, "when": "mode:execute"},
+    ]
+    yield _transcript(run(accept, misuse, max_turns=4)[1])
+
+
+def test_episode_transcripts_are_frozen():
+    text = "\n".join(_pack_transcripts()) + "\n"
+    for observation in ("proposal sent to the user", "message delivered; task closed",
+                        "proposals can only be made while observing",
+                        "propose_task requires a non-empty 'task'",
+                        "send_message_to_user is only available while executing",
+                        "The assistant ran out of steps before finishing the task."):
+        assert observation in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRANSCRIPTS_SHA256

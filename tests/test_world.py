@@ -16,6 +16,7 @@ from phonesim.errors import (
     DuplicateAppId,
     GuardFailed,
     PayloadToolMissing,
+    ProposalAlreadyPending,
     ToolNotAvailableInState,
     WriteInObserveMode,
 )
@@ -317,6 +318,28 @@ def test_failure_injection_hits_assistant_calls_only():
                                args={"sender": "a", "subject": "s", "body": "b"}))
     world.resolve_due_events()
     assert len(world.db.store("EmailApp", "emails")) == 1
+
+
+def test_interface_actions_run_through_world_uncounted_and_never_failed():
+    world = make_world("EmailApp",
+                       stochastic=StochasticConfig(failure_prob=1.0, seed=1))
+    propose = "AgentUserInterface__propose_task"
+    out = world.invoke_agent_tool(propose, {"task": "x"}, mode="observe")
+    assert out == "proposal sent to the user"
+    assert world.proposals.pending().content == "x"
+    assert world.assistant_mode == "awaiting_confirmation"
+    assert world.notifications.user_inbox == ["Assistant proposal: x"]
+    with pytest.raises(ProposalAlreadyPending):
+        world.invoke_agent_tool(propose, {"task": "y"}, mode="observe")
+    world.invoke_user_tool("AgentUserInterface__accept_proposal")
+    assert (world.assistant_mode, world.active_task) == ("execute", "x")
+    out = world.invoke_agent_tool("AgentUserInterface__send_message_to_user",
+                                  {"message": "done"}, mode="execute")
+    assert out == "message delivered; task closed"
+    assert (world.assistant_mode, world.active_task) == ("observe", None)
+    assert world.notifications.user_inbox[-1] == "Assistant: done"
+    assert world.invocation_counter == 0 and world.tool_log == []
+    assert world.read_actions_total == 0
 
 
 def test_environment_only_tools_closed_to_assistant_open_to_events():
