@@ -42,7 +42,7 @@ def save_apartment(ctx: ToolContext) -> str:
     saved = ctx.store("saved")
     if saved.get(apartment_id) is not None:
         return f"{apartment_id} is already saved"
-    saved.add(dict(listing), record_id=apartment_id)
+    saved.add(listing)
     return f"saved {apartment_id}"
 
 

@@ -17,18 +17,11 @@ from . import llm as llm_mod
 from .errors import PhonesimError
 from .fsm import render_app_reference
 from .metrics import aggregate_report
-from .policies import (
-    NOOP_ACTION,
-    WAIT_ACTION,
-    NoopPolicy,
-    load_script,
-    scripted_assistant_policy,
-    scripted_user_policy,
-)
+from .policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from .report import render_csv, render_json, render_table
 from .runner import evaluate_success, run_episode, run_oracle
 from .scenario import Scenario, load_scenario
-from .stochastic import run_seed
+from .stochastic import StochasticConfig, run_seed
 
 
 def _collect_scenarios(path_args: list[str]) -> list[Path]:
@@ -45,45 +38,53 @@ def _collect_scenarios(path_args: list[str]) -> list[Path]:
 # ----------------------------------------------------------------------
 # Policy construction
 
-def _policy_factory(spec: str, side: str, scenario: Scenario, scripts: dict[str, list]):
-    """spec: 'noop' | 'scripted:<path>' | 'llm:<config path>'.
-    For the assistant, 'observe=SPEC,execute=SPEC' builds a mode-split policy.
-    Returns a zero-arg factory producing a fresh policy per episode; files are
-    read here, so the factory itself only creates per-episode state. A script
-    is read once per run: `scripts` holds the steps of each path read so far,
-    which every policy shares and none changes."""
-    if side == "assistant" and "=" in spec:
-        parts = dict(item.split("=", 1) for item in spec.split(","))
-        observe = _policy_factory(parts["observe"], side, scenario, scripts)
-        execute = _policy_factory(parts.get("execute", parts["observe"]), side, scenario,
-                                  scripts)
-        return lambda: _ModeSplitPolicy(observe(), execute())
+def _policy(spec: str, side: str):
+    """Parse a policy spec once per run: 'noop' | 'scripted:<path>' |
+    'llm:<config path>', and for the assistant 'observe=SPEC[,execute=SPEC]'
+    for a mode-split policy. Files are read here. Returns `(make, model)`:
+    `make(scenario)` builds one episode's fresh policy, and `model` names the
+    policy in run records (an `llm:` config's model, else the spec)."""
+    if side == "assistant" and spec.partition("=")[0] in ("observe", "execute"):
+        parts: dict[str, str] = {}
+        for item in spec.split(","):
+            key, eq, value = item.partition("=")
+            if not (eq and value) or key not in ("observe", "execute") or key in parts:
+                raise PhonesimError(
+                    f"bad assistant policy {spec!r}: use observe=SPEC[,execute=SPEC]")
+            parts[key] = value
+        if "observe" not in parts:
+            raise PhonesimError(f"bad assistant policy {spec!r}: observe=SPEC is required")
+        observe = _one_policy(parts["observe"], side)[0]
+        execute = _one_policy(parts["execute"], side)[0] if "execute" in parts else observe
+        return (lambda scenario: _ModeSplitPolicy(observe(scenario), execute(scenario))), spec
+    return _one_policy(spec, side)
 
+
+def _one_policy(spec: str, side: str):
+    idle = WAIT_ACTION if side == "assistant" else NOOP_ACTION
     kind, _, arg = spec.partition(":")
     if kind == "noop":
-        idle = WAIT_ACTION if side == "assistant" else NOOP_ACTION
-        return lambda: NoopPolicy(idle)
+        return (lambda scenario: NoopPolicy(idle)), spec
     if kind == "scripted":
-        if arg not in scripts:
-            scripts[arg] = load_script(arg)
-        steps = scripts[arg]
-        if side == "assistant":
-            return lambda: scripted_assistant_policy(steps)
-        return lambda: scripted_user_policy(steps)
+        steps = load_script(arg)
+        return (lambda scenario: ScriptedPolicy(steps, idle)), spec
     if kind == "llm":
         config = llm_mod.load_llm_config(arg)
-        context = {
-            "AVAILABLE_APPS": ", ".join(scenario.apps),
-            "APP_REFERENCE": render_app_reference(
-                [scenario.machines[app] for app in scenario.apps]),
-            "START_TIME": scenario.start_time,
-            "TASK_DESCRIPTION": scenario.assistant_instructions,
-        }
-        if side == "assistant":
-            return lambda: llm_mod.LLMAssistantPolicy(llm_mod.LLMClient(config), context)
-        return lambda: llm_mod.LLMUserPolicy(llm_mod.LLMClient(config),
-                                             goal=scenario.user_goal, context=context)
-    raise SystemExit(f"unknown policy spec {spec!r} (use noop | scripted:PATH | llm:CONFIG)")
+
+        def make(scenario: Scenario):
+            context = {
+                "AVAILABLE_APPS": ", ".join(scenario.apps),
+                "APP_REFERENCE": render_app_reference(
+                    [scenario.machines[app] for app in scenario.apps]),
+                "START_TIME": scenario.start_time,
+                "TASK_DESCRIPTION": scenario.assistant_instructions,
+            }
+            client = llm_mod.LLMClient(config)
+            if side == "assistant":
+                return llm_mod.LLMAssistantPolicy(client, context)
+            return llm_mod.LLMUserPolicy(client, goal=scenario.user_goal, context=context)
+        return make, config.model
+    raise PhonesimError(f"unknown policy spec {spec!r} (use noop | scripted:PATH | llm:CONFIG)")
 
 
 class _ModeSplitPolicy:
@@ -119,10 +120,6 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _parse_sweep(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
 def _cell_dir(out: Path, noise: float, fail: float) -> Path:
     return out / f"cell_noise{noise:g}_fail{fail:g}"
 
@@ -136,21 +133,12 @@ def cmd_run(args) -> int:
     if args.oracle:
         return _run_oracle_mode(args, scenarios, out)
 
-    noise_levels = _parse_sweep(args.noise_rate)
-    fail_levels = _parse_sweep(args.failure_prob)
-    spec = args.assistant_policy
-    model_label = llm_mod.load_llm_config(spec[4:]).model if spec.startswith("llm:") else spec
-    # One pair of factories per scenario, built before any episode runs.
-    # Paired by position, not by id: two files may share a scenario id.
-    scripts: dict[str, list] = {}
-    plans = [(scenario,
-              _policy_factory(args.user_policy, "user", scenario, scripts),
-              _policy_factory(args.assistant_policy, "assistant", scenario, scripts))
-             for scenario in scenarios]
+    make_user, _ = _policy(args.user_policy, "user")
+    make_assistant, model = _policy(args.assistant_policy, "assistant")
 
     tasks = []
-    for noise in noise_levels:
-        for fail in fail_levels:
+    for noise in args.noise_rate:
+        for fail in args.failure_prob:
             cell = _cell_dir(out, noise, fail)
             cell.mkdir(parents=True, exist_ok=True)
             manifest = {
@@ -163,19 +151,17 @@ def cmd_run(args) -> int:
             }
             (cell / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-            for plan in plans:
+            for scenario in scenarios:
                 for run_index in range(args.runs):
-                    tasks.append((cell, plan, run_index, noise, fail))
+                    tasks.append((cell, scenario, run_index, noise, fail))
 
     def execute(task):
-        cell, (scenario, make_user, make_assistant), run_index, noise, fail = task
-        user = make_user()
-        assistant = make_assistant()
+        cell, scenario, run_index, noise, fail = task
         seed = run_seed(args.seed, scenario.id, run_index)
-        record = run_episode(scenario, user, assistant, run_index=run_index,
-                             seed=seed, noise_rate=noise, failure_prob=fail,
-                             max_turns=args.max_turns)
-        record.update({"model": model_label, "noise_rate": noise, "failure_prob": fail})
+        record = run_episode(scenario, make_user(scenario), make_assistant(scenario),
+                             run_index=run_index, seed=seed, noise_rate=noise,
+                             failure_prob=fail, max_turns=args.max_turns)
+        record.update({"model": model, "noise_rate": noise, "failure_prob": fail})
         return cell, record
 
     results = []
@@ -255,6 +241,22 @@ def _at_least(low: int):
     return integer
 
 
+def _levels(field: str):
+    """An argparse type: a non-empty comma list of sweep values, each checked
+    by building a `StochasticConfig` with it as `field`."""
+    def levels(text: str) -> list[float]:
+        try:
+            values = [float(x) for x in text.split(",") if x.strip()]
+            for value in values:
+                StochasticConfig(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}; got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+        return values
+    return levels
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phonesim",
@@ -272,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--assistant-policy", default="noop")
     p_run.add_argument("--runs", type=_at_least(0), default=1)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--noise-rate", default="0",
+    p_run.add_argument("--noise-rate", type=_levels("noise_rate"), default="0",
                        help="events per simulated minute; comma list sweeps cells")
-    p_run.add_argument("--failure-prob", default="0",
+    p_run.add_argument("--failure-prob", type=_levels("failure_prob"), default="0",
                        help="per-call failure probability; comma list sweeps cells")
     p_run.add_argument("--max-turns", type=_at_least(1), default=None)
     p_run.add_argument("--jobs", type=_at_least(1), default=1)

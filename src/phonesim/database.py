@@ -93,8 +93,8 @@ class Store:
             self.ordered = False
         self.records[rid] = record
 
-    def add(self, record: dict, record_id: str | None = None) -> str:
-        rid = record_id or record.get("id") or self.next_id()
+    def add(self, record: dict) -> str:
+        rid = record.get("id") or self.next_id()
         if rid in self.records:
             raise SeedDataInvalid(f"duplicate record id {rid!r}")
         record = dict(record)

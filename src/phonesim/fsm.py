@@ -74,13 +74,14 @@ class ToolSpec:
 class ToolContext:
     """Handler-facing bundle: store access, per-app screen context, and clock."""
 
-    def __init__(self, db, app_id: str, clock, session: dict, args: dict, current_user: str):
+    current_user = "user"         # the device owner, as the apps name them
+
+    def __init__(self, db, app_id: str, clock, session: dict, args: dict):
         self.db = db
         self.app_id = app_id
         self.clock = clock
         self.session = session        # mutable per-app context (open ids, drafts, ...)
         self.args = args
-        self.current_user = current_user
         self.next_state: str | None = None
 
     def store(self, name: str):

@@ -15,6 +15,7 @@ from .errors import NoProposals, UnevenRunCounts
 
 TERNARY_LABELS = ("accept", "reject", "gather_context", "truncated")
 RESOLUTIONS = ("accept", "reject", "truncated")
+GROUPING = ("model", "noise_rate", "failure_prob")
 
 _STATUS_LABEL = {"accepted": "accept", "rejected": "reject", "truncated": "truncated"}
 
@@ -123,13 +124,12 @@ def _run_level_means(records: list[dict], k: int) -> dict[str, list[float]]:
     return out
 
 
-def aggregate_report(records: list[dict], k: int,
-                     grouping: tuple[str, ...] = ("model", "noise_rate", "failure_prob")) -> dict:
-    """One row per grouping cell with mean ± stderr columns, the three
+def aggregate_report(records: list[dict], k: int) -> dict:
+    """One row per GROUPING cell with mean ± stderr columns, the three
     success variants, and the outcome taxonomy."""
     cells: dict[tuple, list[dict]] = defaultdict(list)
     for record in records:
-        key = tuple(record.get(field) for field in grouping)
+        key = tuple(record.get(field) for field in GROUPING)
         cells[key].append(record)
 
     rows = []
@@ -146,7 +146,7 @@ def aggregate_report(records: list[dict], k: int,
         except NoProposals:
             a_pooled = None
         row = {
-            "cell": dict(zip(grouping, key)),
+            "cell": dict(zip(GROUPING, key)),
             "runs": len(batch),
             "success_rate": success["success_rate"],
             "success_rate_stderr": s_err,
@@ -163,4 +163,4 @@ def aggregate_report(records: list[dict], k: int,
             "outcomes": classify_outcomes(batch),
         }
         rows.append(row)
-    return {"k": k, "grouping": list(grouping), "cells": rows}
+    return {"k": k, "grouping": list(GROUPING), "cells": rows}

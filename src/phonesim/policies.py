@@ -79,11 +79,3 @@ def load_script(path) -> list[dict]:
         if not isinstance(step, dict) or "action" not in step:
             raise ScenarioParseError(f"{path}: step {i} must be a dict with an 'action'")
     return data
-
-
-def scripted_user_policy(steps: list[dict]) -> ScriptedPolicy:
-    return ScriptedPolicy(steps, idle_action=NOOP_ACTION)
-
-
-def scripted_assistant_policy(steps: list[dict]) -> ScriptedPolicy:
-    return ScriptedPolicy(steps, idle_action=WAIT_ACTION)

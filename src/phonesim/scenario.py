@@ -220,6 +220,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         if app not in BUILDERS:
             raise SchemaError(
                 f"{source}.apps[{i}]: unknown app {app!r}; known: {sorted(BUILDERS)}")
+        if app in apps[:i]:
+            raise SchemaError(f"{source}.apps[{i}]: app {app!r} is listed twice")
 
     times: dict[str, float] = {}
     events = []

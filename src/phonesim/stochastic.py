@@ -20,8 +20,8 @@ class StochasticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_rate < 0:
-            raise ValueError("noise_rate must be >= 0")
+        if not 0 <= self.noise_rate < float("inf"):
+            raise ValueError("noise_rate must be finite and >= 0")
         if not 0.0 <= self.failure_prob <= 1.0:
             raise ValueError("failure_prob must be in [0, 1]")
 

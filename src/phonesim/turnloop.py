@@ -6,8 +6,8 @@ the user's decision, the assistant does nothing. In execute mode the
 assistant works until it reports back to the user or runs out of steps.
 
 The loop sequences phases and records what each side saw and did. Every
-action, proposals and reports included, runs through the `World`, which alone
-changes the assistant's mode and task; the loop changes only the turn counter.
+action runs through the `World`, which alone changes and checks the
+assistant's mode and task; the loop changes only the turn counter.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class Episode:
             if step is None:
                 continue
             idle = step.action in (WAIT_ACTION, NOOP_ACTION)
-            observation = "waiting" if idle else self._run_agent_action(step, mode)
+            observation = "waiting" if idle else self._run_agent_action(step)
             self._last_agent_feedback = observation
             self._record(actor="assistant", phase=f"assistant-{mode}", step=step,
                          observation=observation)
@@ -125,9 +125,9 @@ class Episode:
         if mode == "execute":
             world.close_task("The assistant ran out of steps before finishing the task.")
 
-    def _run_agent_action(self, step: Step, mode: str) -> str:
+    def _run_agent_action(self, step: Step) -> str:
         try:
-            return self.world.invoke_agent_tool(step.action, step.action_input, mode=mode)
+            return self.world.invoke_agent_tool(step.action, step.action_input)
         except PhonesimError as exc:
             return f"Error: {exc}"
 

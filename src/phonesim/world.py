@@ -5,8 +5,9 @@ machines with their per-app sessions, navigation, notification routing, and
 the proposal lifecycle (proposal log, assistant mode and task). Every state
 change flows through `invoke_user_tool`, `invoke_agent_tool`,
 `resolve_due_events` or `close_task`; a loop driving the world changes only
-`turn`, and calls `proposals.finalize` when the episode ends. Every app
-handler that writes runs inside `_guarded`, whichever actor calls it.
+`turn`, and calls `proposals.finalize` when the episode ends. The world
+reads its own assistant mode to decide which assistant actions run. Every
+app handler that writes runs inside `_guarded`, whichever actor calls it.
 `checkpoint` is the world's fingerprint: equal runs give byte-equal ones.
 """
 
@@ -76,14 +77,14 @@ OPEN_KEYS = ("open_id", "open_ride", "open_order", "open_variant")
 
 
 class World:
+    current_user = ToolContext.current_user  # in every checkpoint (JSON_FIELDS)
+
     def __init__(self, start_time: str, tick_seconds: int = 60,
-                 stochastic: StochasticConfig | None = None,
-                 current_user: str = "user"):
+                 stochastic: StochasticConfig | None = None):
         self.clock = SimClock(parse_start_time(start_time), tick=tick_seconds)
         self.db = WorldDatabase()
         self.queue = EventQueue()
         self.stochastic = stochastic or StochasticConfig()
-        self.current_user = current_user
 
         self.apps: dict[str, AppStateMachine] = {}
         self.sessions: dict[str, dict] = {}
@@ -163,8 +164,7 @@ class World:
             self.completed = True
         elif api is not None:
             ctx = ToolContext(db=self.db, app_id=event.app, clock=self.clock,
-                              session={}, args=dict(event.args),
-                              current_user=self.current_user)
+                              session={}, args=dict(event.args))
             outcome = self._guarded(api.tool, api.handler, ctx)
             actor = {"oracle_user": "user", "oracle_agent": "assistant"}.get(
                 event.kind, "environment")
@@ -267,8 +267,7 @@ class World:
                 f"of {app_id}; available: {available}")
         transition.tool.validate_args(args)
         ctx = ToolContext(db=self.db, app_id=app_id, clock=self.clock,
-                          session=session, args=args,
-                          current_user=self.current_user)
+                          session=session, args=args)
         outcome = self._guarded(transition.tool, transition.handler, ctx)
         session["state"] = ctx.next_state or transition.default_target() or session["state"]
         self._log_tool("user", f"{app_id}__{tool_name}", args, mode=None,
@@ -342,21 +341,21 @@ class World:
                 specs.append((api.tool.qualified(app_id), api.tool))
         return specs
 
-    def invoke_agent_tool(self, qualified: str, args: dict | None = None,
-                          mode: str = "observe") -> str:
+    def invoke_agent_tool(self, qualified: str, args: dict | None = None) -> str:
         args = dict(args or {})
         if qualified == f"{SYSTEM_APP}__current_time":
             return f"current time: {self.clock.render()}"
         app_id, _, tool_name = qualified.partition("__")
         if app_id == AGENT_UI and tool_name in ("propose_task", "send_message_to_user"):
-            return self._interface_action(tool_name, args, mode)
+            return self._interface_action(tool_name, args)
         machine = self.apps.get(app_id)
         api = machine.api_tool(tool_name) if machine else None
         if api is None or api.tool.environment_only:
             names = sorted(name for name, _ in self.agent_tool_specs())
             raise ToolNotAvailableInState(
                 f"{qualified!r} is not an available assistant tool; see: {names}")
-        if mode == "observe" and not api.tool.read_only:
+        mode = self.assistant_mode
+        if mode != "execute" and not api.tool.read_only:
             raise WriteInObserveMode(
                 f"{qualified} writes state and is not allowed while observing")
         api.tool.validate_args(args)
@@ -366,7 +365,7 @@ class World:
             return FAILURE_OBSERVATION
 
         ctx = ToolContext(db=self.db, app_id=app_id, clock=self.clock,
-                          session={}, args=args, current_user=self.current_user)
+                          session={}, args=args)
         outcome = self._guarded(api.tool, api.handler, ctx)
         if api.tool.read_only:
             self.read_actions_total += 1
@@ -375,15 +374,16 @@ class World:
         self._log_tool("assistant", qualified, args, mode=mode, outcome=outcome)
         return outcome
 
-    def _interface_action(self, tool_name: str, args: dict, mode: str) -> str:
-        """Propose a task while observing, or report back and close the task
-        while executing. Not logged, not a read, never failure-injected."""
+    def _interface_action(self, tool_name: str, args: dict) -> str:
+        """Propose a task unless executing one, or report back and close the
+        task while executing. Not logged, not a read, never failure-injected."""
+        executing = self.assistant_mode == "execute"
         if tool_name == "send_message_to_user":
-            if mode != "execute":
+            if not executing:
                 raise ToolNotAvailableInState(f"{tool_name} is only available while executing")
             self.close_task(f"Assistant: {args.get('message', '')}")
             return "message delivered; task closed"
-        if mode != "observe":
+        if executing:
             raise ToolNotAvailableInState("proposals can only be made while observing")
         if not (task := args.get("task")):
             raise ArgumentInvalid(f"{tool_name} requires a non-empty 'task'")

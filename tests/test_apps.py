@@ -175,8 +175,7 @@ def _step(rng, world, api, step, called, shown):
     called.add(("api", app_id, spec.name))
     qualified, args = spec.qualified(app_id), _args(rng, world, app_id, spec, shown)
     if not spec.environment_only:
-        return ["api", qualified, args], lambda: world.invoke_agent_tool(
-            qualified, args, mode="execute")
+        return ["api", qualified, args], lambda: world.invoke_agent_tool(qualified, args)
 
     def deliver():
         world.schedule_event(Event(id=f"walk{step}", kind="environment",
@@ -190,6 +189,7 @@ def _walk(steps, seed):
     """The walk's transcript, one JSON line per step, and the set of screen
     and API tools it called."""
     world = World("2025-06-01 09")
+    world.assistant_mode = "execute"           # the walk's API calls may write
     for app_id in sorted(BUILDERS):
         world.register_app(build_app(app_id))
     for (app_id, store), records in SEED_RECORDS.items():
@@ -240,10 +240,11 @@ def _world(app_id):
 def test_shopping_rejects_quantities_below_one():
     world = _world("ShoppingApp")
     before = world.db_digest()
+    world.assistant_mode = "execute"
     for quantity in (-3, 0):
         with pytest.raises(GuardFailed):
             world.invoke_agent_tool("ShoppingApp__add_to_cart",
-                                    {"variant_id": "V1", "quantity": quantity}, mode="execute")
+                                    {"variant_id": "V1", "quantity": quantity})
     world.invoke_user_tool("ShoppingApp__view_product", {"product_id": "P001"})
     world.invoke_user_tool("ShoppingApp__view_variant", {"variant_id": "V1"})
     with pytest.raises(GuardFailed):
@@ -343,8 +344,7 @@ def test_read_only_tools_never_write(rng):
         for api in machine.agent_api_tools():
             if api.tool.read_only:
                 args = _args(rng, world, app_id, api.tool, "")
-                _read(world, lambda: world.invoke_agent_tool(
-                    api.tool.qualified(app_id), args, mode="observe"))
+                _read(world, lambda: world.invoke_agent_tool(api.tool.qualified(app_id), args))
         for t in machine.transitions:
             if t.tool.read_only:
                 world = _world_at(app_id, paths[t.state])

@@ -11,8 +11,10 @@ import pytest
 import yaml
 
 import phonesim.cli
+import phonesim.llm
 from phonesim.cli import build_parser, main
-from phonesim.policies import load_script
+from phonesim.policies import WAIT_ACTION, load_script
+from phonesim.react import format_step
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 SCENARIOS = DATA / "scenarios"
@@ -131,6 +133,28 @@ def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
     assert sorted(path for path, _, _ in loaded) == [
         str(SCRIPTS / "apartment_assistant.yaml"), str(SCRIPTS / "apartment_user.yaml")]
     assert all(steps == as_read for _, steps, as_read in loaded)
+
+
+def test_llm_records_name_the_configs_model(tmp_path, monkeypatch):
+    """An `llm:` assistant's records name its config's model, and a mode-split
+    spec is named by the spec itself. Each spec reads its config once a run."""
+    config = tmp_path / "llm.yaml"
+    config.write_text("base_url: http://127.0.0.1:9\nmodel: fake-model\n", "utf-8")
+    monkeypatch.setattr(phonesim.llm.LLMClient, "complete",
+                        lambda self, messages: format_step(WAIT_ACTION))
+    loaded = []
+    real = phonesim.llm.load_llm_config
+    monkeypatch.setattr(phonesim.llm, "load_llm_config",
+                        lambda path: loaded.append(path) or real(path))
+    for spec, model in ((f"llm:{config}", "fake-model"),
+                        (f"observe=llm:{config}", f"observe=llm:{config}")):
+        out = tmp_path / str(len(loaded))
+        assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                     str(SCENARIOS / "reject_path.yaml"), "--assistant-policy", spec,
+                     "--runs", "2", "--out", str(out)]) == 0
+        records = (out / "cell_noise0_fail0" / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line)["model"] for line in records] == [model] * 4
+    assert loaded == [str(config)] * 2
 
 
 def test_readme_commands_parse():
@@ -265,6 +289,58 @@ def test_run_rejects_out_of_range_counts(flag, value, capsys):
     assert f"argument {flag}: expected an integer of at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("execute=noop", "observe=SPEC is required"),
+    ("observe=noop,bad", "use observe=SPEC[,execute=SPEC]"),
+    ("observe=noop,observe=noop", "use observe=SPEC[,execute=SPEC]"),
+    ("observe=noop,report=noop", "use observe=SPEC[,execute=SPEC]"),
+    ("observe=", "use observe=SPEC[,execute=SPEC]"),
+    ("bogus", "unknown policy spec 'bogus'"),
+    ("report=noop", "unknown policy spec 'report=noop'"),
+    ("observe=bogus", "unknown policy spec 'bogus'"),
+])
+def test_run_reports_a_bad_policy_spec_in_one_line(tmp_path, capsys, spec, message):
+    err = _run_fails_with_one_line(capsys, ["--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                                            "--assistant-policy", spec,
+                                            "--out", str(tmp_path / "out")])
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--noise-rate", "0,abc", "could not convert string to float: 'abc'; got '0,abc'"),
+    ("--noise-rate", "", "expected a comma list of numbers, got ''"),
+    ("--noise-rate", " , ", "expected a comma list of numbers"),
+    ("--noise-rate", "0,-1", "noise_rate must be finite and >= 0; got '0,-1'"),
+    ("--noise-rate", "inf", "noise_rate must be finite and >= 0"),
+    ("--noise-rate", "nan", "noise_rate must be finite and >= 0"),
+    ("--failure-prob", "2", "failure_prob must be in [0, 1]; got '2'"),
+    ("--failure-prob", "-0.1", "failure_prob must be in [0, 1]"),
+    ("--failure-prob", "nan", "failure_prob must be in [0, 1]"),
+])
+def test_run_rejects_bad_sweep_values(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_run_with_a_bad_sweep_value_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+              "--failure-prob", "0,2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_parses_sweep_lists():
+    args = build_parser().parse_args(["run", "--scenarios", "s", "--out", "o",
+                                      "--noise-rate", "0, 2.5,", "--failure-prob", "1"])
+    assert (args.noise_rate, args.failure_prob) == ([0.0, 2.5], [1.0])
+    args = build_parser().parse_args(["run", "--scenarios", "s", "--out", "o"])
+    assert (args.noise_rate, args.failure_prob) == ([0.0], [0.0])
+
+
 def test_run_accepts_the_smallest_counts():
     args = build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", "--runs", "0",
                                       "--max-turns", "1", "--jobs", "1"])
@@ -283,8 +359,11 @@ def test_mode_split_assistant_spec_matches_the_unsplit_script(tmp_path):
         (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump({"steps": part}), "utf-8")
     split = (f"observe=scripted:{tmp_path / 'observe.yaml'},"
              f"execute=scripted:{tmp_path / 'execute.yaml'}")
+    # A path with "=" in it names one script, not a split.
+    whole = tmp_path / "whole=script.yaml"
+    whole.write_text(yaml.safe_dump(steps), "utf-8")
     records = []
-    for spec in (f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}", split):
+    for spec in (f"scripted:{whole}", split):
         out = tmp_path / str(len(records))
         assert main(["run", "--scenarios", str(SCENARIOS / "apartment_budget.yaml"),
                      "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",

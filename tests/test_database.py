@@ -129,9 +129,9 @@ def test_generated_ids_past_999_list_in_numeric_order():
 def test_explicit_out_of_order_ids_list_in_record_order():
     store = Store("B")
     for rid in ("B002", "B1000", "B001", "B999"):
-        store.add({}, record_id=rid)
+        store.add({"id": rid})
     assert _ids(store.all()) == ["B001", "B002", "B999", "B1000"]
-    store.add({}, record_id="B0001")
+    store.add({"id": "B0001"})
     assert _ids(store.find()) == ["B001", "B002", "B999", "B0001", "B1000"]
 
 
@@ -173,7 +173,7 @@ def _step(db, step):
     if step[0] == "add":
         rid = step[1] or f"E{store.counter + 1:03d}"
         if rid not in store.records:
-            store.add({"odd": len(store) % 2, "tags": []}, record_id=step[1])
+            store.add({"odd": len(store) % 2, "tags": [], "id": step[1]})
         elif step[1] is None:
             store.counter += 1                      # next_id would give a taken id
     elif step[0] == "rollback":
@@ -231,10 +231,10 @@ def test_reads_sort_only_after_an_out_of_order_add_a_rollback_or_a_load(monkeypa
     for i in range(1001):
         store.add({"even": i % 2 == 0})
     store.remove("E500")
-    store.add({}, record_id="E5000")
+    store.add({"id": "E5000"})
     assert sorts_per_read() == 0
 
-    store.add({}, record_id="E0500")                 # sorts before E5000
+    store.add({"id": "E0500"})                       # sorts before E5000
     assert sorts_per_read() == 1
 
     saved = db.copy_app("EmailApp")

@@ -59,9 +59,11 @@ def messaging_doc():
 
 @pytest.mark.parametrize("block", [None, 4, {"noise_rate": -1}, {"failure_prob": 2},
                                    {"seed": "x"}, {"noise": 4}, {"failure_prob": "0.5"},
-                                   {"seed": 1.9}],
+                                   {"seed": 1.9}, {"noise_rate": float("inf")},
+                                   {"noise_rate": float("nan")}],
                          ids=["null", "number", "negative_noise", "failure_above_one",
-                              "text_seed", "misspelt_key", "text_failure", "fractional_seed"])
+                              "text_seed", "misspelt_key", "text_failure", "fractional_seed",
+                              "infinite_noise", "nan_noise"])
 def test_bad_stochastic_block_is_a_schema_error(block):
     doc = dict(base_doc(), stochastic=block)
     with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic[.:]"):
@@ -206,6 +208,13 @@ def test_unknown_app_and_tool_diagnosed_with_location():
     doc = base_doc()
     doc["events"][0]["args"]["colour"] = "red"
     with pytest.raises(SchemaError, match="'e1'.*colour"):
+        parse_scenario(doc)
+
+
+def test_app_listed_twice_is_a_schema_error():
+    doc = base_doc()
+    doc["apps"] = ["EmailApp", "EmailApp"]
+    with pytest.raises(SchemaError, match=r"^<scenario>\.apps\[1\]: app 'EmailApp' is listed"):
         parse_scenario(doc)
 
 

@@ -10,8 +10,9 @@ from phonesim.stochastic import (
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        StochasticConfig(noise_rate=-1)
+    for bad in (-1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="noise_rate must be finite"):
+            StochasticConfig(noise_rate=bad)
     with pytest.raises(ValueError):
         StochasticConfig(failure_prob=1.5)
 

@@ -4,14 +4,7 @@ from importlib import resources
 from pathlib import Path
 
 from phonesim.apps import build_app
-from phonesim.policies import (
-    WAIT_ACTION,
-    NoopPolicy,
-    ScriptedPolicy,
-    load_script,
-    scripted_assistant_policy,
-    scripted_user_policy,
-)
+from phonesim.policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from phonesim.runner import build_world
 from phonesim.scenario import load_scenario
 from phonesim.stochastic import StochasticConfig, run_seed
@@ -30,8 +23,8 @@ def make_world():
 def run(user_steps, assistant_steps, max_turns=5, world=None):
     world = world or make_world()
     episode = Episode(world,
-                      scripted_user_policy(user_steps),
-                      scripted_assistant_policy(assistant_steps),
+                      ScriptedPolicy(user_steps, NOOP_ACTION),
+                      ScriptedPolicy(assistant_steps, WAIT_ACTION),
                       max_turns=max_turns)
     episode.run()
     return world, episode
@@ -158,8 +151,8 @@ def _pack_transcripts():
             world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
                 noise_rate=noise_rate, failure_prob=failure_prob,
                 seed=run_seed(7, scenario.id, 0)))
-            episode = Episode(world, scripted_user_policy(user),
-                              scripted_assistant_policy(assistant),
+            episode = Episode(world, ScriptedPolicy(user, NOOP_ACTION),
+                              ScriptedPolicy(assistant, WAIT_ACTION),
                               max_turns=scenario.max_turns)
             episode.run()
             yield _transcript(episode)

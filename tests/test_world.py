@@ -23,13 +23,7 @@ from phonesim.errors import (
 from phonesim.events import Event, load_distractor_catalog, sample_noise_events
 from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
 from phonesim.interfaces import render_event_notification
-from phonesim.policies import (
-    WAIT_ACTION,
-    NoopPolicy,
-    load_script,
-    scripted_assistant_policy,
-    scripted_user_policy,
-)
+from phonesim.policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from phonesim.runner import build_world, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
 from phonesim.stochastic import StochasticConfig
@@ -83,28 +77,41 @@ def test_switch_app_preserves_screen_state():
 
 
 def test_observe_mode_rejects_writes_allows_reads():
+    """The world gates the assistant by its own mode: only the user's accept
+    lets it write, until it reports back. Reads run in any mode and count as
+    observe-mode reads only while it observes."""
     world = make_world("EmailApp")
+    send = ("EmailApp__send_email", {"recipients": ["a@b.c"], "subject": "s", "body": "b"})
+    read = ("EmailApp__list_emails", {})
     with pytest.raises(WriteInObserveMode):
-        world.invoke_agent_tool("EmailApp__send_email",
-                                {"recipients": ["a"], "subject": "s", "body": "b"},
-                                mode="observe")
-    world.invoke_agent_tool("EmailApp__list_emails", {}, mode="observe")
-    assert world.read_actions_observe == 1
-    assert world.read_actions_total == 1
-    world.invoke_agent_tool("EmailApp__list_emails", {}, mode="execute")
-    assert world.read_actions_observe == 1
-    assert world.read_actions_total == 2
+        world.invoke_agent_tool(*send)
+    world.invoke_agent_tool(*read)
+    world.invoke_agent_tool("AgentUserInterface__propose_task", {"task": "write"})
+    with pytest.raises(WriteInObserveMode):
+        world.invoke_agent_tool(*send)
+    world.invoke_user_tool("AgentUserInterface__accept_proposal")
+    world.invoke_agent_tool(*send)
+    assert world.tool_log[-1]["tool"] == "EmailApp__send_email"
+    assert world.tool_log[-1]["mode"] == "execute"
+    world.invoke_agent_tool(*read)
+    world.invoke_agent_tool("AgentUserInterface__send_message_to_user", {"message": "done"})
+    with pytest.raises(WriteInObserveMode):
+        world.invoke_agent_tool(*send)
+    world.invoke_agent_tool(*read)
+    assert [entry["mode"] for entry in world.tool_log] == ["observe", "execute", "execute",
+                                                          "observe"]
+    assert (world.read_actions_observe, world.read_actions_total) == (2, 3)
 
 
 def test_failed_write_handler_rolls_back_store():
     world = make_world("ShoppingApp")
     before = world.db_digest()
+    world.assistant_mode = "execute"
     with pytest.raises(GuardFailed):
-        world.invoke_agent_tool("ShoppingApp__checkout", {}, mode="execute")
+        world.invoke_agent_tool("ShoppingApp__checkout", {})
     assert world.db_digest() == before
     with pytest.raises(GuardFailed):
-        world.invoke_agent_tool("ShoppingApp__get_order", {"order_id": "nope"},
-                                mode="observe")
+        world.invoke_agent_tool("ShoppingApp__get_order", {"order_id": "nope"})
     assert world.db_digest() == before
 
 
@@ -138,7 +145,7 @@ def test_guarded_write_journal_on_every_exit(exc):
     for i in range(5):
         emails.add(_email(i, folder="archive" if i == 3 else "inbox"))
     ctx = ToolContext(db=world.db, app_id="EmailApp", clock=world.clock, session={},
-                      args={}, current_user="user")
+                      args={})
     write = ToolSpec("write")
 
     # A guard or argument failure restores every record and the id counter.
@@ -205,9 +212,10 @@ def test_write_deep_copies_only_the_records_it_touches(monkeypatch):
     calls = [("EmailApp__move_email", {"email_id": "E042", "folder": "archive"}),
              ("EmailApp__send_email", {"recipients": ["a@b.c"], "subject": "s", "body": "b"}),
              ("EmailApp__move_email", {"email_id": "E043", "folder": "spam"})]
+    world.assistant_mode = "execute"
     for qualified, args in calls:
         try:
-            world.invoke_agent_tool(qualified, args, mode="execute")
+            world.invoke_agent_tool(qualified, args)
         except GuardFailed:
             pass
     assert copies == []
@@ -235,7 +243,8 @@ def test_screen_tool_logs_only_the_arguments_the_user_gave():
 def test_logged_arguments_share_no_container_with_the_callers():
     world = make_world("EmailApp")
     args = {"recipients": ["a@b.c"], "subject": "s", "body": "b"}
-    world.invoke_agent_tool("EmailApp__send_email", args, mode="execute")
+    world.assistant_mode = "execute"
+    world.invoke_agent_tool("EmailApp__send_email", args)
     logged = world.tool_log[-1]["args"]
     assert logged == args
     assert logged is not args and logged["recipients"] is not args["recipients"]
@@ -264,8 +273,8 @@ def test_screen_write_on_a_record_deleted_through_the_api_is_refused():
     world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
     world.invoke_user_tool("ContactsApp__open_contact", {"contact_id": "C001"})
     world.invoke_user_tool("ContactsApp__start_edit_contact", {})
-    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
-                            mode="execute")
+    world.assistant_mode = "execute"
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"})
     dump, before = copy.deepcopy(world.db.dump()), world.db_digest()
     with pytest.raises(GuardFailed, match="^no contact is open$"):
         world.invoke_user_tool("ContactsApp__update_contact", {"phone": "555"})
@@ -282,11 +291,10 @@ def test_api_delete_closes_the_record_on_the_users_screen():
         contacts.add({"name": name, "email": "", "phone": "", "notes": ""})
     world.invoke_user_tool("SystemApp__open_app", {"app_name": "ContactsApp"})
     world.invoke_user_tool("ContactsApp__open_contact", {"contact_id": "C001"})
-    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C002"},
-                            mode="execute")
+    world.assistant_mode = "execute"
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C002"})
     assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": "C001"}
-    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"},
-                            mode="execute")
+    world.invoke_agent_tool("ContactsApp__delete_contact", {"contact_id": "C001"})
     assert world.sessions["ContactsApp"] == {"state": "Detail", "open_id": None}
     for tool in ("view_contact", "start_edit_contact", "delete_contact"):
         with pytest.raises(GuardFailed, match="^no contact is open$"):
@@ -307,7 +315,7 @@ def test_api_delete_closes_the_record_on_the_users_screen():
 def test_failure_injection_hits_assistant_calls_only():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
-    out = world.invoke_agent_tool("EmailApp__list_emails", {}, mode="observe")
+    out = world.invoke_agent_tool("EmailApp__list_emails", {})
     assert out == FAILURE_OBSERVATION
     assert world.read_actions_total == 0       # failed call does not count
     # user tools and events are exempt from injection
@@ -324,17 +332,17 @@ def test_interface_actions_run_through_world_uncounted_and_never_failed():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
     propose = "AgentUserInterface__propose_task"
-    out = world.invoke_agent_tool(propose, {"task": "x"}, mode="observe")
+    out = world.invoke_agent_tool(propose, {"task": "x"})
     assert out == "proposal sent to the user"
     assert world.proposals.pending().content == "x"
     assert world.assistant_mode == "awaiting_confirmation"
     assert world.notifications.user_inbox == ["Assistant proposal: x"]
     with pytest.raises(ProposalAlreadyPending):
-        world.invoke_agent_tool(propose, {"task": "y"}, mode="observe")
+        world.invoke_agent_tool(propose, {"task": "y"})
     world.invoke_user_tool("AgentUserInterface__accept_proposal")
     assert (world.assistant_mode, world.active_task) == ("execute", "x")
     out = world.invoke_agent_tool("AgentUserInterface__send_message_to_user",
-                                  {"message": "done"}, mode="execute")
+                                  {"message": "done"})
     assert out == "message delivered; task closed"
     assert (world.assistant_mode, world.active_task) == ("observe", None)
     assert world.notifications.user_inbox[-1] == "Assistant: done"
@@ -350,11 +358,12 @@ def test_environment_only_tools_closed_to_assistant_open_to_events():
     }
     offered = {name for name, _ in world.agent_tool_specs()}
     reference = render_app_reference(list(world.apps.values()))
+    world.assistant_mode = "execute"
     for qualified, args in incoming.items():
         assert qualified not in offered
         assert qualified not in reference
         with pytest.raises(ToolNotAvailableInState):
-            world.invoke_agent_tool(qualified, args, mode="execute")
+            world.invoke_agent_tool(qualified, args)
     assert world.tool_log == [] and world.invocation_counter == 0
 
     for i, (qualified, args) in enumerate(incoming.items()):
@@ -439,8 +448,8 @@ def _pack_checkpoints():
         for noise_rate, failure_prob in CELLS:
             world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
                 noise_rate=noise_rate, failure_prob=failure_prob, seed=5))
-            episode = Episode(world, scripted_user_policy(user),
-                              scripted_assistant_policy(assistant),
+            episode = Episode(world, ScriptedPolicy(user, NOOP_ACTION),
+                              ScriptedPolicy(assistant, WAIT_ACTION),
                               max_turns=scenario.max_turns)
             while not episode.finished:
                 episode.run_turn()
@@ -506,8 +515,8 @@ def _noisy_episode():
                  {"action": "MessagingApp__list_conversations"},
                  {"action": "AgentUserInterface__wait"}] * 67
     world = build_world(parse_scenario(NOISY), stochastic=NOISE)
-    episode = Episode(world, scripted_user_policy(user), scripted_assistant_policy(assistant),
-                      max_turns=NOISY["max_turns"])
+    episode = Episode(world, ScriptedPolicy(user, NOOP_ACTION),
+                      ScriptedPolicy(assistant, WAIT_ACTION), max_turns=NOISY["max_turns"])
     episode.run()
     return world
 
