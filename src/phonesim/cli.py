@@ -1,8 +1,8 @@
 """Command-line entry point: validate scenario packs, run benchmark sweeps,
 and aggregate reports.
 
-Exit codes: 0 success, 1 input, validation or metric error, 2 aborted runs
-present.
+Exit codes: 0 success; 1 input, validation or metric error; 2 aborted runs
+present, or a usage error that argparse reports before anything runs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import llm as llm_mod
@@ -120,29 +122,30 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _cell_dir(out: Path, noise: float, fail: float) -> Path:
-    return out / f"cell_noise{noise:g}_fail{fail:g}"
-
-
 def cmd_run(args) -> int:
     out = Path(args.out)
     scenarios = [load_scenario(p) for p in _collect_scenarios(args.scenarios)]
     if not scenarios:
         print("no scenarios found", file=sys.stderr)
         return 1
+    ids = [s.id for s in scenarios]
+    repeated = next((i for i in ids if ids.count(i) > 1), None)
+    if repeated is not None:
+        raise PhonesimError(f"two scenarios have the id {repeated!r}; a run takes each once")
     if args.oracle:
         return _run_oracle_mode(args, scenarios, out)
 
     make_user, _ = _policy(args.user_policy, "user")
     make_assistant, model = _policy(args.assistant_policy, "assistant")
 
+    # Tasks in the order records are written: cell, scenario id, run index.
     tasks = []
     for noise in args.noise_rate:
         for fail in args.failure_prob:
-            cell = _cell_dir(out, noise, fail)
+            cell = out / f"cell_noise{noise:g}_fail{fail:g}"
             cell.mkdir(parents=True, exist_ok=True)
             manifest = {
-                "scenarios": [s.id for s in scenarios],
+                "scenarios": ids,
                 "user_policy": args.user_policy,
                 "assistant_policy": args.assistant_policy,
                 "runs": args.runs, "seed": args.seed,
@@ -151,39 +154,27 @@ def cmd_run(args) -> int:
             }
             (cell / "manifest.json").write_text(
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-            for scenario in scenarios:
+            for scenario in sorted(scenarios, key=lambda s: s.id):
                 for run_index in range(args.runs):
                     tasks.append((cell, scenario, run_index, noise, fail))
 
     def execute(task):
         cell, scenario, run_index, noise, fail = task
-        seed = run_seed(args.seed, scenario.id, run_index)
         record = run_episode(scenario, make_user(scenario), make_assistant(scenario),
-                             run_index=run_index, seed=seed, noise_rate=noise,
-                             failure_prob=fail, max_turns=args.max_turns)
-        record.update({"model": model, "noise_rate": noise, "failure_prob": fail})
-        return cell, record
+                             noise_rate=noise, failure_prob=fail, run_index=run_index,
+                             seed=run_seed(args.seed, scenario.id, run_index),
+                             max_turns=args.max_turns)
+        return cell, {**record, "model": model}
 
-    results = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(execute, tasks))
-    else:
-        results = [execute(t) for t in tasks]
-
-    by_cell: dict[Path, list[dict]] = {}
-    for cell, record in results:
-        by_cell.setdefault(cell, []).append(record)
-    aborted = 0
-    for cell, records in by_cell.items():
-        records.sort(key=lambda r: (r["scenario_id"], r["run_index"]))
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(execute, tasks))
+    # `map` keeps the task order, so each cell's records are consecutive.
+    for cell, group in groupby(results, key=itemgetter(0)):
         with open(cell / "records.jsonl", "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        aborted += sum(1 for r in records if r.get("aborted_reason"))
-    print(f"wrote {sum(len(v) for v in by_cell.values())} run records "
-          f"across {len(by_cell)} cells under {out}")
-    return 2 if aborted else 0
+            fh.writelines(json.dumps(record, sort_keys=True) + "\n" for _, record in group)
+    cells = len({cell for cell, _ in results})
+    print(f"wrote {len(results)} run records across {cells} cells under {out}")
+    return 2 if any(record.get("aborted_reason") for _, record in results) else 0
 
 
 def _run_oracle_mode(args, scenarios, out: Path) -> int:
@@ -243,7 +234,8 @@ def _at_least(low: int):
 
 def _levels(field: str):
     """An argparse type: a non-empty comma list of sweep values, each checked
-    by building a `StochasticConfig` with it as `field`."""
+    by building a `StochasticConfig` with it as `field`. A value names its
+    cell as `{value:g}`, so no two values may share that name."""
     def levels(text: str) -> list[float]:
         try:
             values = [float(x) for x in text.split(",") if x.strip()]
@@ -253,6 +245,11 @@ def _levels(field: str):
             raise argparse.ArgumentTypeError(f"{exc}; got {text!r}") from None
         if not values:
             raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+        names = [f"{value:g}" for value in values]
+        repeated = next((name for name in names if names.count(name) > 1), None)
+        if repeated is not None:
+            raise argparse.ArgumentTypeError(
+                f"two values name the cell {field} {repeated}; got {text!r}")
         return values
     return levels
 

@@ -26,14 +26,18 @@ class LLMConfig:
     temperature: float = 0.0
     max_output: int = 1024
     timeout: float = 60.0
-    retries: int = 3
+    retries: int = 3            # attempts in all, the first one included
+
+    def __post_init__(self):
+        if type(self.retries) is not int or self.retries < 1:
+            raise ValueError(f"retries must be an integer of at least 1, got {self.retries!r}")
 
 
 def load_llm_config(path) -> LLMConfig:
     data = read_yaml(path)
     try:
         return LLMConfig(**data)
-    except TypeError as exc:      # not a mapping, an unknown key or a missing one
+    except (TypeError, ValueError) as exc:   # not a mapping, a bad, unknown or missing key
         raise ScenarioParseError(f"{path}: not an LLM config: {exc}") from exc
 
 
@@ -71,7 +75,8 @@ class LLMClient:
                 return _extract_text(resp.json())
             last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if resp.status_code in (429, 500, 502, 503, 504):
-                time.sleep(min(2 ** attempt, 8))
+                if attempt + 1 < self.config.retries:
+                    time.sleep(min(2 ** attempt, 8))
                 continue
             break
         raise RetriesExhausted(f"endpoint kept failing ({last_error})")

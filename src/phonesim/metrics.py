@@ -104,7 +104,7 @@ def mean_stderr(values: list[float]) -> tuple[float | None, float | None]:
     return mean, math.sqrt(var) / math.sqrt(len(values))
 
 
-def _run_level_means(records: list[dict], k: int) -> dict[str, list[float]]:
+def _run_level_means(records: list[dict]) -> dict[str, list[float]]:
     """Per run-index means across scenarios: the k values the ± is over."""
     by_index: dict[int, list[dict]] = defaultdict(list)
     for record in records:
@@ -136,7 +136,7 @@ def aggregate_report(records: list[dict], k: int) -> dict:
     for key in sorted(cells, key=lambda t: tuple(str(x) for x in t)):
         batch = cells[key]
         success = success_metrics(batch, k)
-        levels = _run_level_means(batch, k)
+        levels = _run_level_means(batch)
         _, s_err = mean_stderr(levels["success"])
         _, p_err = mean_stderr(levels["proposal_rate"])
         _, a_err = mean_stderr(levels["acceptance_rate"])

@@ -122,16 +122,12 @@ def evaluate_success(world: World, scenario: Scenario) -> dict:
     }
 
 
-def run_episode(scenario: Scenario, user_policy, assistant_policy,
-                run_index: int = 0, seed: int = 0,
-                noise_rate: float | None = None,
-                failure_prob: float | None = None,
-                max_turns: int | None = None) -> dict:
-    base = scenario.stochastic
-    stochastic = replace(
-        base, seed=seed,
-        noise_rate=base.noise_rate if noise_rate is None else noise_rate,
-        failure_prob=base.failure_prob if failure_prob is None else failure_prob)
+def run_episode(scenario: Scenario, user_policy, assistant_policy, *,
+                noise_rate: float, failure_prob: float, run_index: int = 0,
+                seed: int = 0, max_turns: int | None = None) -> dict:
+    """Play one policy episode and return its run record."""
+    stochastic = replace(scenario.stochastic, seed=seed, noise_rate=noise_rate,
+                         failure_prob=failure_prob)
     world = build_world(scenario, mode="policy", stochastic=stochastic)
     episode = Episode(world, user_policy, assistant_policy,
                       max_turns=scenario.max_turns if max_turns is None else max_turns)
@@ -142,6 +138,8 @@ def run_episode(scenario: Scenario, user_policy, assistant_policy,
         "scenario_id": scenario.id,
         "run_index": run_index,
         "seed": seed,
+        "noise_rate": noise_rate,
+        "failure_prob": failure_prob,
         "success": verdict["success"],
         "goals": verdict["goals"],
         "proposals": [

@@ -568,9 +568,10 @@ def test_criterion_10_live_model_smoke():
                                    {"AVAILABLE_APPS": "EmailApp",
                                     "APP_REFERENCE": "",
                                     "TASK_DESCRIPTION": scenario.assistant_instructions})
-    record = run_episode(scenario, ScriptedPolicy([], NOOP_ACTION), assistant, seed=1)
-    for field in ("scenario_id", "run_index", "seed", "success", "proposals",
-                  "read_actions_observe", "read_actions_total", "turns_used"):
+    record = run_episode(scenario, ScriptedPolicy([], NOOP_ACTION), assistant,
+                         noise_rate=0.0, failure_prob=0.0, seed=1)
+    for field in ("scenario_id", "run_index", "seed", "noise_rate", "failure_prob", "success",
+                  "proposals", "read_actions_observe", "read_actions_total", "turns_used"):
         assert field in record
     assert "aborted_reason" not in record
     assert json.dumps(record)

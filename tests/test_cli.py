@@ -62,10 +62,10 @@ def test_run_and_report_roundtrip(tmp_path, capsys):
 
 
 def test_run_is_deterministic_across_invocations(tmp_path):
-    """The whole pack over a noise x failure sweep writes the same bytes in
-    every cell, whether the episodes run on one thread or two."""
+    """The whole pack over a noise x failure sweep writes the same manifest
+    and record bytes in every cell, on one thread, two or three."""
     outs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
         main(["run",
               "--scenarios", str(SCENARIOS),
@@ -73,10 +73,11 @@ def test_run_is_deterministic_across_invocations(tmp_path):
               "--assistant-policy", f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}",
               "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
               "--failure-prob", "0,0.1", "--jobs", jobs, "--out", str(out)])
-        outs.append({p.parent.name: p.read_bytes()
-                     for p in sorted(out.glob("*/records.jsonl"))})
-    assert len(outs[0]) == 4
-    assert outs[0] == outs[1]
+        outs.append({str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(outs[0]) == 8
+    assert {"cell_noise2_fail0.1/manifest.json", "cell_noise2_fail0.1/records.jsonl"} <= set(outs[0])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_runs_of_one_scenario_do_not_share_init(tmp_path):
@@ -323,6 +324,48 @@ def test_run_rejects_bad_sweep_values(flag, value, message, capsys):
         build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--noise-rate", "0,0", "noise_rate 0"),
+    ("--noise-rate", "2,2.0", "noise_rate 2"),
+    ("--noise-rate", "0.1234567,0.1234568", "noise_rate 0.123457"),
+    ("--failure-prob", "0.1,0,.1", "failure_prob 0.1"),
+])
+def test_run_refuses_two_values_with_one_cell_name(tmp_path, capsys, flag, value, name):
+    """Values that print alike under `:g` would write two records for one run
+    into one cell, so argparse refuses them before anything is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"), "--runs", "1",
+              flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: two values name the cell {name}; got {value!r}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_scenario_given_twice(tmp_path, capsys):
+    """The same path twice, or two files with one id, is refused with one
+    line before any cell is written."""
+    scenario = SCENARIOS / "email_reply.yaml"
+    copy_dir = tmp_path / "copies"
+    copy_dir.mkdir()
+    (copy_dir / "renamed.yaml").write_bytes(scenario.read_bytes())
+    for paths in ([scenario, scenario], [scenario, copy_dir]):
+        err = _run_fails_with_one_line(capsys, ["--scenarios", *map(str, paths), "--runs", "1",
+                                                "--out", str(tmp_path / "out")])
+        assert "two scenarios have the id 'email_reply'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_run_refuses_a_scenario_given_twice(tmp_path, capsys):
+    """The check runs before the oracle branch, whose event log per id one
+    scenario would overwrite with another's."""
+    scenario = str(SCENARIOS / "email_reply.yaml")
+    err = _run_fails_with_one_line(capsys, ["--oracle", "--scenarios", scenario, scenario,
+                                            "--out", str(tmp_path / "out")])
+    assert "two scenarios have the id 'email_reply'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_with_a_bad_sweep_value_writes_nothing(tmp_path, capsys):
