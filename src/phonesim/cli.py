@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 from . import llm as llm_mod
@@ -139,11 +137,12 @@ def cmd_run(args) -> int:
     make_assistant, model = _policy(args.assistant_policy, "assistant")
 
     # Tasks in the order records are written: cell, scenario id, run index.
-    tasks = []
+    cells, tasks = [], []
     for noise in args.noise_rate:
         for fail in args.failure_prob:
             cell = out / f"cell_noise{noise:g}_fail{fail:g}"
             cell.mkdir(parents=True, exist_ok=True)
+            cells.append(cell)
             manifest = {
                 "scenarios": ids,
                 "user_policy": args.user_policy,
@@ -156,25 +155,27 @@ def cmd_run(args) -> int:
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
             for scenario in sorted(scenarios, key=lambda s: s.id):
                 for run_index in range(args.runs):
-                    tasks.append((cell, scenario, run_index, noise, fail))
+                    tasks.append((scenario, run_index, noise, fail))
 
     def execute(task):
-        cell, scenario, run_index, noise, fail = task
+        scenario, run_index, noise, fail = task
         record = run_episode(scenario, make_user(scenario), make_assistant(scenario),
                              noise_rate=noise, failure_prob=fail, run_index=run_index,
                              seed=run_seed(args.seed, scenario.id, run_index),
                              max_turns=args.max_turns)
-        return cell, {**record, "model": model}
+        return {**record, "model": model}
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(execute, tasks))
-    # `map` keeps the task order, so each cell's records are consecutive.
-    for cell, group in groupby(results, key=itemgetter(0)):
+        records = list(pool.map(execute, tasks))
+    # `map` keeps the task order, so each cell's records are one slice; with
+    # `--runs 0` every slice is empty and each cell gets an empty file.
+    per_cell = len(scenarios) * args.runs
+    for i, cell in enumerate(cells):
         with open(cell / "records.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(record, sort_keys=True) + "\n" for _, record in group)
-    cells = len({cell for cell, _ in results})
-    print(f"wrote {len(results)} run records across {cells} cells under {out}")
-    return 2 if any(record.get("aborted_reason") for _, record in results) else 0
+            fh.writelines(json.dumps(record, sort_keys=True) + "\n"
+                          for record in records[i * per_cell:(i + 1) * per_cell])
+    print(f"wrote {len(records)} run records across {len(cells)} cells under {out}")
+    return 2 if any(record.get("aborted_reason") for record in records) else 0
 
 
 def _run_oracle_mode(args, scenarios, out: Path) -> int:

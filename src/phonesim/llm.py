@@ -53,45 +53,53 @@ class LLMClient:
         return headers
 
     def complete(self, messages: list[dict]) -> str:
-        # Imported here: `requests` takes about 0.1 s to import, which every
-        # run without an llm: policy would otherwise pay.
-        import requests
+        """One reply text. `retries` attempts in all: a 429 or 5xx reply and
+        a transport failure (refused, timed out, reset) are retried after
+        `min(2**attempt, 8)` s, and the last attempt's failure is raised."""
+        # Imported here: `urllib.request` pulls in `http.client`, about 30 ms
+        # of import that every run without an llm: policy would otherwise pay.
+        import urllib.request
+        from http.client import HTTPException
+        from urllib.error import HTTPError
 
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        payload = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": messages,
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_output,
-        }
-        last_error = None
+        }).encode("utf-8")
         for attempt in range(self.config.retries):
+            request = urllib.request.Request(url, data=body, headers=self._headers())
             try:
-                resp = requests.post(url, json=payload, headers=self._headers(),
-                                     timeout=self.config.timeout)
-            except requests.RequestException as exc:
-                raise EndpointUnavailable(f"cannot reach {url}: {exc}") from exc
-            if resp.status_code == 200:
-                return _extract_text(resp.json())
-            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code in (429, 500, 502, 503, 504):
-                if attempt + 1 < self.config.retries:
-                    time.sleep(min(2 ** attempt, 8))
-                continue
-            break
-        raise RetriesExhausted(f"endpoint kept failing ({last_error})")
+                with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                    return _reply_text(resp.read())
+            except HTTPError as exc:
+                detail = exc.read().decode("utf-8", "replace")[:200]
+                error = RetriesExhausted(f"endpoint kept failing (HTTP {exc.code}: {detail})")
+                if exc.code not in (429, 500, 502, 503, 504):
+                    raise error from exc
+            except (OSError, HTTPException) as exc:   # URLError, a timeout, a cut reply
+                error = EndpointUnavailable(f"cannot reach {url}: {exc}")
+            if attempt + 1 < self.config.retries:
+                time.sleep(min(2 ** attempt, 8))
+        raise error
 
 
-def _extract_text(data: dict) -> str:
+def _reply_text(body: bytes) -> str:
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except ValueError as exc:       # not UTF-8, or not JSON
+        raise RetriesExhausted(
+            f"unexpected response shape: {body[:200].decode('utf-8', 'replace')}") from exc
     try:
         choice = data["choices"][0]
-    except (KeyError, IndexError, TypeError) as exc:
+        text = (choice.get("message") or {}).get("content")
+        if text is None:
+            text = choice.get("text")
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise RetriesExhausted(f"unexpected response shape: {json.dumps(data)[:200]}") from exc
-    message = choice.get("message") or {}
-    text = message.get("content")
-    if text is None:
-        text = choice.get("text")
-    if text is None:
+    if not isinstance(text, str):
         raise RetriesExhausted("response carried no text content")
     return text
 

@@ -170,13 +170,16 @@ def test_readme_commands_parse():
         build_parser().parse_args(argv[1:])
 
 
-def test_importing_cli_leaves_requests_unloaded():
+def test_importing_cli_leaves_the_http_modules_unloaded():
     # A fresh interpreter, so no other test's imports can hide the regression.
+    # `LLMClient.complete` imports them on its first call: about 30 ms that a
+    # run without an llm: policy need not pay.
     src = Path(phonesim.__file__).resolve().parent.parent
-    code = "import sys, phonesim.cli; print('requests' in sys.modules)"
+    code = ("import sys, phonesim.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_creates_one_directory_per_cell(tmp_path):
@@ -388,6 +391,19 @@ def test_run_accepts_the_smallest_counts():
     args = build_parser().parse_args(["run", "--scenarios", "s", "--out", "o", "--runs", "0",
                                       "--max-turns", "1", "--jobs", "1"])
     assert (args.runs, args.max_turns, args.jobs) == (0, 1, 1)
+
+
+def test_run_with_no_runs_writes_an_empty_records_file_per_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                 "--runs", "0", "--noise-rate", "0,2", "--out", str(out)]) == 0
+    assert f"wrote 0 run records across 2 cells under {out}" in capsys.readouterr().out
+    cells = sorted(p.name for p in out.iterdir())
+    assert cells == ["cell_noise0_fail0", "cell_noise2_fail0"]
+    for cell in cells:
+        assert sorted(p.name for p in (out / cell).iterdir()) == ["manifest.json",
+                                                                   "records.jsonl"]
+        assert (out / cell / "records.jsonl").read_bytes() == b""
 
 
 def test_mode_split_assistant_spec_matches_the_unsplit_script(tmp_path):

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import phonesim.llm
 from phonesim.apps import BUILDERS, build_app
-from phonesim.errors import RetriesExhausted, ScenarioParseError
+from phonesim.cli import main
+from phonesim.errors import EndpointUnavailable, RetriesExhausted, ScenarioParseError
 from phonesim.fsm import render_app_reference
 from phonesim.interfaces import AgentView
 from phonesim.llm import LLMAssistantPolicy, LLMClient, LLMConfig, load_llm_config
@@ -60,17 +66,30 @@ def test_app_reference_text_is_frozen():
 
 @pytest.fixture
 def endpoint():
-    """A local chat endpoint on a free port that answers each request with
-    the next status in its `statuses` list; `requests` counts the calls."""
-    state = {"statuses": [], "requests": 0}
+    """A local chat endpoint on a free port. Each request gets the next reply
+    in its `statuses` list: an HTTP status (200 carries a chat reply), raw
+    bytes sent as a 200 body, or "stall", which answers nothing until the
+    test ends. `requests` counts the calls; `paths`, `headers` and `bodies`
+    keep what each one sent."""
+    state = {"statuses": [], "requests": 0, "paths": [], "headers": [], "bodies": []}
+    release = threading.Event()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
+            body = self.rfile.read(int(self.headers["Content-Length"]))
             state["requests"] += 1
+            state["paths"].append(self.path)
+            state["headers"].append(dict(self.headers))
+            state["bodies"].append(json.loads(body))
             status = state["statuses"].pop(0)
-            body = json.dumps({"choices": [{"message": {"content": "hello"}}]}
-                              if status == 200 else {"error": "busy"}).encode()
+            if status == "stall":
+                release.wait(10)
+                return
+            if isinstance(status, bytes):
+                status, body = 200, status
+            else:
+                body = json.dumps({"choices": [{"message": {"content": "hello"}}]}
+                                  if status == 200 else {"error": "busy"}).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -80,14 +99,27 @@ def endpoint():
         def log_message(self, *args):
             pass
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     state["url"] = f"http://127.0.0.1:{server.server_address[1]}"
     yield state
+    release.set()
     server.shutdown()
     server.server_close()
     thread.join()
+
+
+def hi(client):
+    return client.complete([{"role": "user", "content": "hi"}])
+
+
+@pytest.fixture
+def slept(monkeypatch):
+    """The backoff sleeps `complete` asks for, none of them taken."""
+    slept = []
+    monkeypatch.setattr(phonesim.llm.time, "sleep", slept.append)
+    return slept
 
 
 @pytest.mark.parametrize("statuses,retries,text,sleeps", [
@@ -97,19 +129,120 @@ def endpoint():
     ([200], 1, "hello", []),
 ])
 def test_complete_retries_and_sleeps_between_attempts_only(
-        endpoint, monkeypatch, statuses, retries, text, sleeps):
+        endpoint, slept, statuses, retries, text, sleeps):
     """`retries` counts every attempt, and no sleep follows the last one."""
-    slept = []
-    monkeypatch.setattr(phonesim.llm.time, "sleep", slept.append)
     endpoint["statuses"] = list(statuses)
     client = LLMClient(LLMConfig(base_url=endpoint["url"], model="m", retries=retries))
     if text is None:
         with pytest.raises(RetriesExhausted, match="HTTP 503"):
-            client.complete([{"role": "user", "content": "hi"}])
+            hi(client)
     else:
-        assert client.complete([{"role": "user", "content": "hi"}]) == text
+        assert hi(client) == text
     assert endpoint["requests"] == len(statuses)
     assert slept == sleeps
+
+
+def test_a_refused_connection_is_retried_like_a_busy_reply(slept):
+    # Nothing listens on the discard port.
+    client = LLMClient(LLMConfig(base_url="http://127.0.0.1:9", model="m", retries=3))
+    with pytest.raises(EndpointUnavailable, match="cannot reach http://127.0.0.1:9/"):
+        hi(client)
+    assert slept == [1, 2]
+
+
+def test_a_client_error_is_one_attempt(endpoint, slept):
+    endpoint["statuses"] = [400, 200]
+    client = LLMClient(LLMConfig(base_url=endpoint["url"], model="m", retries=3))
+    with pytest.raises(RetriesExhausted, match=r"HTTP 400: \{\"error\": \"busy\"\}"):
+        hi(client)
+    assert endpoint["requests"] == 1 and slept == []
+
+
+@pytest.mark.parametrize("statuses,error", [
+    (["stall"], EndpointUnavailable),
+    (["stall", 503], RetriesExhausted),
+    ([503, "stall"], EndpointUnavailable),
+    (["stall", 200], None),
+])
+def test_a_timeout_is_retried_and_the_last_failure_is_raised(endpoint, slept, statuses, error):
+    endpoint["statuses"] = list(statuses)
+    client = LLMClient(LLMConfig(base_url=endpoint["url"], model="m", timeout=0.3,
+                                 retries=len(statuses)))
+    if error is None:
+        assert hi(client) == "hello"
+    else:
+        with pytest.raises(error):
+            hi(client)
+    assert endpoint["requests"] == len(statuses)
+    assert slept == [1, 2, 4][:len(statuses) - 1]
+
+
+@pytest.mark.parametrize("body,message", [
+    (b"<html>Bad gateway</html>", "unexpected response shape: <html>"),
+    (b"\xff\xfe{}", "unexpected response shape: "),
+    (b"", "unexpected response shape: "),
+    (b"[]", "unexpected response shape: "),
+    (b'{"choices": ["hello"]}', "unexpected response shape: "),
+    (b'{"choices": [{"message": {"content": null}}]}', "response carried no text content"),
+    (b'{"choices": [{"message": {"content": 42}}]}', "response carried no text content"),
+])
+def test_a_reply_that_is_not_a_chat_reply_is_one_error(endpoint, slept, body, message):
+    endpoint["statuses"] = [body]
+    client = LLMClient(LLMConfig(base_url=endpoint["url"], model="m"))
+    with pytest.raises(RetriesExhausted, match=message):
+        hi(client)
+    assert endpoint["requests"] == 1 and slept == []
+
+
+def test_the_request_carries_the_config(endpoint, monkeypatch):
+    endpoint["statuses"] = [200, 200]
+    config = LLMConfig(base_url=endpoint["url"] + "/v1/", model="m", temperature=0.5,
+                       max_output=77, api_key_env="PHONESIM_TEST_KEY")
+    monkeypatch.delenv("PHONESIM_TEST_KEY", raising=False)
+    assert hi(LLMClient(config)) == "hello"
+    monkeypatch.setenv("PHONESIM_TEST_KEY", "sk-test")
+    assert hi(LLMClient(config)) == "hello"
+    expected = {"model": "m", "messages": [{"role": "user", "content": "hi"}],
+                "temperature": 0.5, "max_tokens": 77}
+    assert endpoint["bodies"] == [expected, expected]
+    without, with_key = endpoint["headers"]
+    assert "Authorization" not in without
+    assert with_key["Authorization"] == "Bearer sk-test"
+    assert without["Content-Type"] == with_key["Content-Type"] == "application/json"
+
+
+def test_the_request_goes_through_the_environments_proxy(endpoint):
+    """The fake endpoint stands in for an HTTP proxy. A fresh interpreter, so
+    the environment is read as a run would read it. The target is a loopback
+    address with nothing listening, so a bypassed proxy is a refused call."""
+    endpoint["statuses"] = [200]
+    env = {k: v for k, v in os.environ.items()
+           if k.lower() not in ("http_proxy", "https_proxy", "all_proxy", "no_proxy")}
+    env["http_proxy"] = endpoint["url"]
+    code = ("from phonesim.llm import LLMClient, LLMConfig; "
+            "print(LLMClient(LLMConfig(base_url='http://127.0.0.2:9/v1', model='m', "
+            "retries=1)).complete([{'role': 'user', 'content': 'hi'}]))")
+    src = Path(phonesim.llm.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "hello\n"
+    assert endpoint["paths"] == ["http://127.0.0.2:9/v1/chat/completions"]
+
+
+@pytest.mark.parametrize("statuses,message", [
+    ([b"not json"], "unexpected response shape: not json"),
+    ([503], "endpoint kept failing (HTTP 503: "),
+])
+def test_run_ends_with_one_error_line_when_the_endpoint_fails(
+        endpoint, slept, tmp_path, capsys, statuses, message):
+    endpoint["statuses"] = list(statuses)
+    config = tmp_path / "llm.yaml"
+    config.write_text(f"base_url: {endpoint['url']}\nmodel: m\nretries: 1\n", "utf-8")
+    scenario = Path(str(resources.files("phonesim").joinpath("data/scenarios/email_reply.yaml")))
+    assert main(["run", "--scenarios", str(scenario), "--assistant-policy", f"llm:{config}",
+                 "--runs", "1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("retries", ["0", "-1", "1.5", "true", "'2'"])
