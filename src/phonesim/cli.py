@@ -32,6 +32,8 @@ def _collect_scenarios(path_args: list[str]) -> list[Path]:
             paths.extend(sorted(p.glob("*.yaml")) + sorted(p.glob("*.yml")))
         else:
             paths.append(p)
+    if not paths:
+        raise PhonesimError(f"no scenarios found in {' '.join(path_args)}")
     return paths
 
 
@@ -123,9 +125,6 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     out = Path(args.out)
     scenarios = [load_scenario(p) for p in _collect_scenarios(args.scenarios)]
-    if not scenarios:
-        print("no scenarios found", file=sys.stderr)
-        return 1
     ids = [s.id for s in scenarios]
     repeated = next((i for i in ids if ids.count(i) > 1), None)
     if repeated is not None:

@@ -16,6 +16,7 @@ from .yamlfile import read_yaml
 
 WAIT_ACTION = "AgentUserInterface__wait"
 NOOP_ACTION = "noop"
+GATES = ("proposal_pending", "mode:observe", "mode:execute")
 
 
 class Policy(Protocol):
@@ -38,9 +39,11 @@ class ScriptedPolicy:
     Each step is a dict with `action`, optional `action_input`, optional
     `thought`, and an optional `when` gate:
       - "proposal_pending": consume only while a proposal awaits the user
-      - "mode:<m>":         consume only while the assistant is in mode <m>
-    A gated step that does not apply yields the idle action without being
-    consumed, so scripts stay aligned with the episode's phase structure.
+      - "mode:observe", "mode:execute": consume only while the assistant is
+        in that mode
+    `load_script` refuses any other gate. A gated step that does not apply
+    yields the idle action without being consumed, so scripts stay aligned
+    with the episode's phase structure.
     """
 
     def __init__(self, steps: list[dict], idle_action: str = NOOP_ACTION):
@@ -54,8 +57,8 @@ class ScriptedPolicy:
             return True
         if when == "proposal_pending":
             return getattr(view, "pending_proposal", None) is not None
-        if when.startswith("mode:"):
-            return getattr(view, "mode", None) == when.split(":", 1)[1]
+        if when in GATES:
+            return getattr(view, "mode", None) == when.removeprefix("mode:")
         raise ScenarioParseError(f"unknown step gate {when!r}")
 
     def act(self, view, feedback: str | None = None) -> str:
@@ -78,4 +81,7 @@ def load_script(path) -> list[dict]:
     for i, step in enumerate(data):
         if not isinstance(step, dict) or "action" not in step:
             raise ScenarioParseError(f"{path}: step {i} must be a dict with an 'action'")
+        if "when" in step and step["when"] not in GATES:
+            raise ScenarioParseError(
+                f"{path}: step {i} has the unknown gate {step['when']!r}; use one of {GATES}")
     return data

@@ -3,8 +3,6 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .database import plain_copy
 from .errors import OracleExecutionError
 from .events import sample_noise_events
@@ -21,10 +19,8 @@ def build_world(scenario: Scenario, mode: str = "policy",
                 stochastic: StochasticConfig | None = None) -> World:
     """mode="policy": scripted environment plus sampled noise, no oracle
     steps. mode="oracle": the full scripted solution, no noise, and no
-    assistant call to fail. `stochastic` defaults to the scenario's block."""
+    assistant call to fail. With no `stochastic`, no noise and no failures."""
     assert mode in ("policy", "oracle")
-    stochastic = stochastic or scenario.stochastic
-
     world = World(start_time=scenario.start_time,
                   tick_seconds=scenario.tick_seconds,
                   stochastic=stochastic)
@@ -46,9 +42,9 @@ def build_world(scenario: Scenario, mode: str = "policy",
         if event.kind in kinds:
             world.schedule_event(event)
 
-    if mode == "policy" and stochastic.noise_rate > 0:
+    if mode == "policy" and world.stochastic.noise_rate > 0:
         horizon = scenario.max_turns * scenario.tick_seconds
-        for noise in sample_noise_events(stochastic, horizon, set(scenario.apps)):
+        for noise in sample_noise_events(world.stochastic, horizon, set(scenario.apps)):
             world.schedule_event(noise)
     return world
 
@@ -126,9 +122,8 @@ def run_episode(scenario: Scenario, user_policy, assistant_policy, *,
                 noise_rate: float, failure_prob: float, run_index: int = 0,
                 seed: int = 0, max_turns: int | None = None) -> dict:
     """Play one policy episode and return its run record."""
-    stochastic = replace(scenario.stochastic, seed=seed, noise_rate=noise_rate,
-                         failure_prob=failure_prob)
-    world = build_world(scenario, mode="policy", stochastic=stochastic)
+    world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
+        noise_rate=noise_rate, failure_prob=failure_prob, seed=seed))
     episode = Episode(world, user_policy, assistant_policy,
                       max_turns=scenario.max_turns if max_turns is None else max_turns)
     episode.run()

@@ -2,10 +2,10 @@
 
 A scenario is a YAML document. Validation criteria are machine-checkable
 predicates over the final database and the action log, grouped into goals;
-an episode succeeds when every goal holds. Loading performs field-level
-checks and verifies statically that every event payload names a tool that
-actually exists on a declared app, and that every db_predicate names a store
-that one of the scenario's apps declares.
+an episode succeeds when every goal holds. Loading refuses unknown keys,
+checks each field, and verifies statically that every event payload names a
+tool on a declared app, and that every db_predicate names a store that one
+of the scenario's apps declares.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .apps import BUILDERS, build_app
 from .errors import ArgumentInvalid, SchemaError
 from .events import Event
 from .fsm import AppStateMachine
-from .stochastic import StochasticConfig
 from .yamlfile import read_yaml
 
 SCHEMA_VERSION = 1
@@ -33,7 +32,17 @@ OPS = {
 }
 CHECKS = ("count", "all", "any", "none")
 ACTORS = ("user", "assistant", "environment", "any")
-STOCHASTIC_KEYS = ("noise_rate", "failure_prob", "seed")
+# The keys each mapping may hold; the parser refuses any other.
+TOP_KEYS = {"schema_version", "id", "title", "apps", "start_time", "max_turns", "tick_seconds",
+            "user_goal", "assistant_instructions", "init", "events", "validation"}
+EVENT_KEYS = {"id", "kind", "at", "after", "app", "tool", "args", "notify"}
+AFTER_KEYS = {"anchor", "offset"}
+ACTION_KEYS = {"kind", "goal", "tool", "actor", "args_subset", "count_at_least"}
+CRITERION_KEYS = {
+    "db_predicate": {"kind", "goal", "app", "store", "where", "check", "field", "op", "value"},
+    "action_required": ACTION_KEYS,
+    "action_forbidden": ACTION_KEYS,
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,6 @@ class Scenario:
     assistant_instructions: str = ""
     max_turns: int = 10
     tick_seconds: int = 60
-    stochastic: StochasticConfig = field(default_factory=StochasticConfig)
     # One machine per app id, built when the scenario is parsed and shared,
     # never mutated, by every world and thread that runs the scenario.
     machines: dict[str, AppStateMachine] = field(
@@ -82,13 +90,23 @@ class Scenario:
         return seen
 
 
-def _req(data: dict, key: str, kind, where: str):
+def _get(data: dict, key: str, kind, where: str, default=...):
+    """`data[key]` if it is a `kind`; a missing key is an error unless it has a default."""
     if key not in data:
-        raise SchemaError(f"{where}: missing required field {key!r}")
+        if default is ...:
+            raise SchemaError(f"{where}: missing required field {key!r}")
+        return default
     value = data[key]
     if not isinstance(value, kind):
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _only(data: dict, keys: set, where: str) -> None:
+    """Refuse any key that the parser does not read, such as a misspelt one."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}; allowed: {sorted(keys)}")
 
 
 def _count(data: dict, key: str, default: int, where: str) -> int:
@@ -105,16 +123,16 @@ def _seconds(value, where: str) -> float:
     return float(value)
 
 
-def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
+def _parse_event(data: dict, where: str, times: dict[str, float]) -> Event:
     """`times` maps each earlier event id to its firing time; an `after`
     schedule is resolved against it here, once."""
-    where = f"events[{index}]"
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a mapping")
-    event_id = _req(data, "id", str, where)
+    _only(data, EVENT_KEYS, where)
+    event_id = _get(data, "id", str, where)
     if event_id in times:
         raise SchemaError(f"{where}.id: duplicate event id {event_id!r}")
-    kind = _req(data, "kind", str, where)
+    kind = _get(data, "kind", str, where)
     if kind not in SCRIPT_KINDS:
         raise SchemaError(
             f"{where}.kind: {kind!r} not one of {SCRIPT_KINDS} "
@@ -124,8 +142,9 @@ def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
     if "at" in data:
         at = _seconds(data["at"], f"{where}.at")
     else:
-        after = _req(data, "after", dict, where)
-        anchor = _req(after, "anchor", str, f"{where}.after")
+        after = _get(data, "after", dict, where)
+        _only(after, AFTER_KEYS, f"{where}.after")
+        anchor = _get(after, "anchor", str, f"{where}.after")
         if anchor not in times:
             raise SchemaError(
                 f"{where}.after.anchor: {anchor!r} must name an earlier event")
@@ -136,86 +155,72 @@ def _parse_event(data: dict, index: int, times: dict[str, float]) -> Event:
         at = times[anchor] + offset
     app = data.get("app", "")
     tool = data.get("tool", "")
-    if kind != "completion":
-        if not app or not tool:
-            raise SchemaError(f"{where}: non-completion events need 'app' and 'tool'")
-    args = data.get("args", {})
-    if not isinstance(args, dict):
-        raise SchemaError(f"{where}.args: expected a mapping")
+    if kind != "completion" and not (app and tool):
+        raise SchemaError(f"{where}: non-completion events need 'app' and 'tool'")
     notify = data.get("notify", "both")
     if notify not in ("both", "user", "assistant", "none"):
         raise SchemaError(f"{where}.notify: {notify!r} invalid")
-    return Event(id=event_id, kind=kind, at=at,
-                 app=app, tool=tool, args=args, notify=notify)
+    return Event(id=event_id, kind=kind, at=at, app=app, tool=tool,
+                 args=_get(data, "args", dict, where, {}), notify=notify)
 
 
-def _parse_stochastic(data, where: str) -> StochasticConfig:
-    """The `stochastic:` block as a config: rates as floats, seed as an int."""
+def _parse_criterion(data: dict, where: str) -> Criterion:
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a mapping")
-    unknown = [key for key in data if key not in STOCHASTIC_KEYS]
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}; allowed: {list(STOCHASTIC_KEYS)}")
-    for key, value in data.items():
-        kind, what = (int, "an integer") if key == "seed" else ((int, float), "a number")
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise SchemaError(f"{where}.{key}: expected {what}, got {value!r}")
-    try:
-        return StochasticConfig(**{k: v if k == "seed" else float(v) for k, v in data.items()})
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _parse_criterion(data: dict, index: int) -> Criterion:
-    where = f"validation[{index}]"
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a mapping")
-    kind = _req(data, "kind", str, where)
-    goal = data.get("goal", "main")
+    kind = _get(data, "kind", str, where)
+    if kind not in CRITERION_KEYS:
+        raise SchemaError(f"{where}.kind: unknown criterion kind {kind!r}")
+    _only(data, CRITERION_KEYS[kind], where)
+    goal = _get(data, "goal", str, where, "main")
     if kind == "db_predicate":
         check = data.get("check", "count")
         if check not in CHECKS:
             raise SchemaError(f"{where}.check: {check!r} not one of {CHECKS}")
-        op = data.get("op", "==")
+        op = _get(data, "op", str, where, "==")
         if op not in OPS:
             raise SchemaError(f"{where}.op: {op!r} not one of {sorted(OPS)}")
-        if check != "count" and not data.get("field"):
+        field_name = _get(data, "field", str, where, "")
+        if check != "count" and not field_name:
             raise SchemaError(f"{where}: check {check!r} needs a 'field'")
-        if "value" not in data:
-            raise SchemaError(f"{where}: missing 'value'")
+        value = _get(data, "value", object, where)
+        if check == "count" and (op == "contains" or type(value) not in (int, float)):
+            raise SchemaError(f"{where}: check 'count' compares the number of matches with a "
+                              f"number, not with {op!r} {value!r}")
+        match = _get(data, "where", dict, where, {})
+        if not all(isinstance(key, str) for key in match):
+            raise SchemaError(f"{where}.where: field names must be strings, got {list(match)}")
         return Criterion(
             kind=kind, goal=goal,
-            app=_req(data, "app", str, where),
-            store=_req(data, "store", str, where),
-            where=data.get("where", {}),
-            check=check, field_name=data.get("field", ""),
-            op=op, value=data["value"],
+            app=_get(data, "app", str, where),
+            store=_get(data, "store", str, where),
+            where=match,
+            check=check, field_name=field_name, op=op, value=value,
         )
-    if kind in ("action_required", "action_forbidden"):
-        actor = data.get("actor", "any")
-        if actor not in ACTORS:
-            raise SchemaError(f"{where}.actor: {actor!r} not one of {ACTORS}")
-        count = data.get("count_at_least", 1)
-        if not isinstance(count, int) or count < 1:
-            raise SchemaError(f"{where}.count_at_least: expected a positive integer")
-        return Criterion(
-            kind=kind, goal=goal,
-            tool=_req(data, "tool", str, where),
-            actor=actor,
-            args_subset=data.get("args_subset", {}),
-            count_at_least=count,
-        )
-    raise SchemaError(f"{where}.kind: unknown criterion kind {kind!r}")
+    actor = data.get("actor", "any")
+    if actor not in ACTORS:
+        raise SchemaError(f"{where}.actor: {actor!r} not one of {ACTORS}")
+    return Criterion(
+        kind=kind, goal=goal,
+        tool=_get(data, "tool", str, where),
+        actor=actor,
+        args_subset=_get(data, "args_subset", dict, where, {}),
+        count_at_least=_count(data, "count_at_least", 1, where),
+    )
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(data, dict):
         raise SchemaError(f"{source}: document must be a mapping")
+    if "stochastic" in data:
+        raise SchemaError(
+            f"{source}.stochastic: a scenario sets no noise, failures or seed; "
+            f"give them to phonesim run as --noise-rate, --failure-prob and --seed")
+    _only(data, TOP_KEYS, source)
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{source}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    apps = _req(data, "apps", list, source)
+    apps = _get(data, "apps", list, source)
     for i, app in enumerate(apps):
         if app not in BUILDERS:
             raise SchemaError(
@@ -225,29 +230,28 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
 
     times: dict[str, float] = {}
     events = []
-    for i, item in enumerate(data.get("events", [])):
-        event = _parse_event(item, i, times)
+    for i, item in enumerate(_get(data, "events", list, source, [])):
+        event = _parse_event(item, f"{source}.events[{i}]", times)
         times[event.id] = event.at
         events.append(event)
 
-    validation_raw = data.get("validation", [])
-    if not validation_raw:
+    validation = [_parse_criterion(item, f"{source}.validation[{i}]")
+                  for i, item in enumerate(_get(data, "validation", list, source, []))]
+    if not validation:
         raise SchemaError(f"{source}.validation: at least one criterion is required")
-    validation = [_parse_criterion(item, i) for i, item in enumerate(validation_raw)]
 
     scenario = Scenario(
-        id=_req(data, "id", str, source),
-        title=data.get("title", ""),
+        id=_get(data, "id", str, source),
+        title=_get(data, "title", str, source, ""),
         apps=list(apps),
-        start_time=_req(data, "start_time", str, source),
+        start_time=_get(data, "start_time", str, source),
         events=events,
         validation=validation,
-        init=data.get("init", {}),
-        user_goal=data.get("user_goal", ""),
-        assistant_instructions=data.get("assistant_instructions", ""),
+        init=_get(data, "init", dict, source, {}),
+        user_goal=_get(data, "user_goal", str, source, ""),
+        assistant_instructions=_get(data, "assistant_instructions", str, source, ""),
         max_turns=_count(data, "max_turns", 10, source),
         tick_seconds=_count(data, "tick_seconds", 60, source),
-        stochastic=_parse_stochastic(data.get("stochastic", {}), f"{source}.stochastic"),
         machines={app: build_app(app) for app in apps},
     )
     _check_payloads(scenario, source)

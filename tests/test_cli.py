@@ -283,6 +283,24 @@ def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_an_unknown_step_gate_before_writing(tmp_path, capsys):
+    script = tmp_path / "gated.yaml"
+    script.write_text("- {action: noop, when: bogus}\n", "utf-8")
+    err = _run_fails_with_one_line(capsys, ["--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                                            "--user-policy", f"scripted:{script}",
+                                            "--noise-rate", "0,2", "--out", str(tmp_path / "out")])
+    assert "step 0 has the unknown gate 'bogus'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_directory_with_no_scenarios_fails(tmp_path, capsys, command):
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--scenarios", str(tmp_path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: no scenarios found in {tmp_path}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--max-turns", "0"), ("--max-turns", "-1"),
                                         ("--jobs", "0"), ("--runs", "-1"),
                                         ("--jobs", "two")])

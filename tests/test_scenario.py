@@ -9,7 +9,6 @@ import yaml
 from phonesim.errors import SchemaError
 from phonesim.runner import build_world, evaluate_success, run_oracle
 from phonesim.scenario import load_scenario, parse_scenario
-from phonesim.stochastic import StochasticConfig
 from phonesim.yamlfile import load_yaml
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
@@ -60,25 +59,67 @@ def messaging_doc():
 @pytest.mark.parametrize("block", [None, 4, {"noise_rate": -1}, {"failure_prob": 2},
                                    {"seed": "x"}, {"noise": 4}, {"failure_prob": "0.5"},
                                    {"seed": 1.9}, {"noise_rate": float("inf")},
-                                   {"noise_rate": float("nan")}],
+                                   {"noise_rate": float("nan")},
+                                   {"noise_rate": 4, "failure_prob": 0.2, "seed": 1}],
                          ids=["null", "number", "negative_noise", "failure_above_one",
                               "text_seed", "misspelt_key", "text_failure", "fractional_seed",
-                              "infinite_noise", "nan_noise"])
+                              "infinite_noise", "nan_noise", "well_formed"])
 def test_bad_stochastic_block_is_a_schema_error(block):
+    """Noise, failures and seeds come only from the command line, so every
+    `stochastic:` block, well formed or not, is refused and names the flags."""
     doc = dict(base_doc(), stochastic=block)
-    with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic[.:]"):
+    with pytest.raises(SchemaError, match=r"^<scenario>\.stochastic: ") as caught:
         parse_scenario(doc)
+    for flag in ("--noise-rate", "--failure-prob", "--seed"):
+        assert flag in str(caught.value)
 
 
-def test_stochastic_block_is_parsed_once_into_its_config():
-    """Rates become floats and the seed stays an integer, so a world built
-    from the scenario checkpoints the same bytes however the block was
-    written."""
-    scenario = parse_scenario(dict(base_doc(), stochastic={"noise_rate": 4, "seed": 3}))
-    assert scenario.stochastic == StochasticConfig(noise_rate=4.0, seed=3)
-    assert type(scenario.stochastic.noise_rate) is float
-    assert build_world(scenario).stochastic is scenario.stochastic
-    assert parse_scenario(base_doc()).stochastic == StochasticConfig()
+def _doc_with(part, key, value):
+    """`base_doc` plus an `after` event and an action criterion, with `key`
+    set to `value` in one of its mappings."""
+    doc = base_doc()
+    doc["events"].append({"id": "done", "kind": "completion", "after": {"anchor": "e1"}})
+    doc["validation"].append({"kind": "action_forbidden", "tool": "EmailApp__delete_email"})
+    target = {"top": doc, "event": doc["events"][0], "after": doc["events"][1]["after"],
+              "predicate": doc["validation"][0], "action": doc["validation"][1]}[part]
+    target[key] = value
+    return doc
+
+
+BAD_FIELDS = [
+    ("top", "max_turn", 5, r"<scenario>: unknown keys \['max_turn'\]"),
+    ("top", "init", [1], r"<scenario>\.init: expected dict"),
+    ("top", "events", 5, r"<scenario>\.events: expected list"),
+    ("top", "validation", {"kind": "db_predicate"}, r"<scenario>\.validation: expected list"),
+    ("top", "title", ["t"], r"<scenario>\.title: expected str"),
+    ("event", "notfy", "user", r"<scenario>\.events\[0\]: unknown keys \['notfy'\]"),
+    ("event", "args", [1], r"<scenario>\.events\[0\]\.args: expected dict"),
+    ("after", "ofset", 60, r"<scenario>\.events\[1\]\.after: unknown keys \['ofset'\]"),
+    ("predicate", "goal", ["a"], r"<scenario>\.validation\[0\]\.goal: expected str"),
+    ("predicate", "where", 5, r"<scenario>\.validation\[0\]\.where: expected dict"),
+    ("predicate", "where", {1: "x"}, r"<scenario>\.validation\[0\]\.where: field names"),
+    ("predicate", "op", ["=="], r"<scenario>\.validation\[0\]\.op: expected str"),
+    ("predicate", "field", ["f"], r"<scenario>\.validation\[0\]\.field: expected str"),
+    ("predicate", "value", "1", r"<scenario>\.validation\[0\]: check 'count' compares"),
+    ("predicate", "op", "contains", r"<scenario>\.validation\[0\]: check 'count' compares"),
+    ("predicate", "tool", "x", r"<scenario>\.validation\[0\]: unknown keys \['tool'\]"),
+    ("action", "args_subset", 5, r"<scenario>\.validation\[1\]\.args_subset: expected dict"),
+    ("action", "count_at_least", True, r"<scenario>\.validation\[1\]\.count_at_least: "),
+    ("action", "count_atleast", 2,
+     r"<scenario>\.validation\[1\]: unknown keys \['count_atleast'\]"),
+    ("action", "kind", "action_wanted", r"<scenario>\.validation\[1\]\.kind: unknown"),
+]
+
+
+@pytest.mark.parametrize("part,key,value,where", BAD_FIELDS,
+                         ids=[f"{part}.{key}={value!r}" for part, key, value, _ in BAD_FIELDS])
+def test_bad_field_is_a_schema_error_not_a_traceback(part, key, value, where):
+    """Each field is refused at load, before an oracle run or a verdict could
+    end in a `TypeError` or an `AttributeError`, or drop a misspelt key."""
+    assert parse_scenario(_doc_with("top", "title", "unchanged otherwise")).validation
+    with pytest.raises(SchemaError, match="^" + where):
+        scenario = parse_scenario(_doc_with(part, key, value))
+        evaluate_success(run_oracle(scenario), scenario)
 
 
 @pytest.mark.parametrize("key,value", [
