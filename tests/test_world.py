@@ -36,6 +36,9 @@ DATA = Path(str(resources.files("phonesim").joinpath("data")))
 # a change to how the world is snapshot must leave it byte-identical, and a
 # deliberate change to world state updates it and says so in CHANGES.md.
 PACK_CHECKPOINTS_SHA256 = "7e325fa05beba6f77fd12be28ce9eebd4558df58b0e1b9b0e3b8d2683c34496b"
+# Every observation of `_noisy_episode`, one per line, as one sha256: its
+# listings and searches read stores of more than 1,000 records.
+NOISY_STEPS_SHA256 = "206f83d8fad6b6183a2c57cf35c7bcb0cea2c64298f09cb60ae9a91938a74521"
 CELLS = ((0.0, 0.0), (2.0, 0.1), (20.0, 0.3))   # (noise_rate, failure_prob)
 
 
@@ -518,7 +521,14 @@ def _noisy_episode():
     episode = Episode(world, ScriptedPolicy(user, NOOP_ACTION),
                       ScriptedPolicy(assistant, WAIT_ACTION), max_turns=NOISY["max_turns"])
     episode.run()
-    return world
+    return episode
+
+
+def test_noisy_episode_observations_are_frozen():
+    episode = _noisy_episode()
+    text = "\n".join(step["observation"] for step in episode.steps) + "\n"
+    assert len(episode.world.db.store("EmailApp", "emails")) > 1000
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NOISY_STEPS_SHA256
 
 
 def test_noisy_episode_does_event_work_once_per_payload_and_never_sorts(monkeypatch):
@@ -540,7 +550,7 @@ def test_noisy_episode_does_event_work_once_per_payload_and_never_sorts(monkeypa
     monkeypatch.setattr(phonesim.world, "render_event_notification", render)
     monkeypatch.setattr(phonesim.world, "digest", digest_args)
     monkeypatch.setattr(phonesim.database, "sorted", counting_sorted, raising=False)
-    world = _noisy_episode()
+    world = _noisy_episode().world
     assert len(world.event_log) > 3000
     assert len(world.db.store("EmailApp", "emails")) > 1000
     assert len(rendered) == len(set(rendered)) <= 20
