@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..database import fold
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
@@ -19,10 +20,12 @@ def _append_message(store, conversation_id: str, sender: str, content: str, time
 
 
 def search_conversations(ctx: ToolContext) -> str:
+    """Conversations whose title or one of whose participants contains the
+    query, ignoring case, each read through `fold`."""
     query = ctx.args["query"].lower()
     hits = [c for c in ctx.store("conversations").all()
-            if query in c["title"].lower()
-            or any(query in p.lower() for p in c["participants"])]
+            if query in fold(c.get("title", ""))
+            or any(query in fold(p) for p in c.get("participants", ()))]
     return render_records(hits, LIST_FIELDS)
 
 

@@ -17,6 +17,10 @@ class SimClock:
     start_time: datetime
     tick: int = 60
     now: float = field(default=0.0)
+    # (now, text) of the last `render`: every event of one tick stamps the
+    # same time. Not state: left out of `to_dict`, equality and repr.
+    _rendered: tuple[float, str] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def advance(self) -> float:
         """Advance one turn-phase; returns the new simulated time."""
@@ -28,7 +32,9 @@ class SimClock:
 
     def render(self) -> str:
         """Current time as 'YYYY-MM-DD HH:MM' for tool output and prompts."""
-        return self.wall().strftime("%Y-%m-%d %H:%M")
+        if self._rendered is None or self._rendered[0] != self.now:
+            self._rendered = (self.now, self.wall().strftime("%Y-%m-%d %H:%M"))
+        return self._rendered[1]
 
     def to_dict(self) -> dict:
         return {

@@ -10,21 +10,23 @@ from __future__ import annotations
 import functools
 import heapq
 import json
-from dataclasses import asdict, dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .stochastic import StochasticConfig, noise_arrival_times
 
 
-# Frozen: every world and thread that runs a scenario shares its events.
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """Immutable, because every world and thread that runs a scenario shares
+    its events; no one changes `args` either. A tuple, because a long noisy
+    episode builds thousands and a frozen dataclass pays one
+    `object.__setattr__` per field."""
     id: str
     kind: str                    # environment | oracle_user | oracle_agent | noise | completion
     at: float                    # seconds since scenario start
     app: str
     tool: str
-    args: dict = field(default_factory=dict)
+    args: dict = {}              # shared by the events that omit it; never changed
     notify: str = "both"         # "both" | "user" | "assistant" | "none"
 
 
@@ -51,7 +53,7 @@ class EventQueue:
         return len(self._heap)
 
     def to_dict(self) -> dict:
-        pending = [{"seq": seq, "event": asdict(ev)} for _, seq, ev in sorted(self._heap)]
+        pending = [{"seq": seq, "event": ev._asdict()} for _, seq, ev in sorted(self._heap)]
         return {"pending": pending, "seq": self._seq}
 
 
@@ -71,7 +73,7 @@ def sample_noise_events(
     """Poisson-scheduled distractor events, cycled round-robin through the
     catalog entries whose target app is registered in the scenario. Events
     of one entry share its `args` dict, which no one mutates: `Event` is
-    frozen and handlers get a copy."""
+    immutable and handlers get a copy."""
     times = noise_arrival_times(cfg, horizon)
     if not times:
         return []
@@ -81,14 +83,7 @@ def sample_noise_events(
     events = []
     for i, t in enumerate(times):
         entry = catalog[i % len(catalog)]
-        events.append(
-            Event(
-                id=f"noise-{i + 1:04d}",
-                kind="noise",
-                at=t,
-                app=entry["app"],
-                tool=entry["tool"],
-                args=entry["args"],
-            )
-        )
+        # Positional: a NamedTuple builds fastest that way.
+        events.append(Event(f"noise-{i + 1:04d}", "noise", t,
+                            entry["app"], entry["tool"], entry["args"]))
     return events

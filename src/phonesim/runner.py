@@ -4,7 +4,7 @@ and single-episode execution producing a run record."""
 from __future__ import annotations
 
 from .database import plain_copy
-from .errors import OracleExecutionError
+from .errors import OracleExecutionError, PhonesimError
 from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
 from .stochastic import StochasticConfig
@@ -80,7 +80,16 @@ def _check_criterion(world: World, criterion: Criterion) -> bool:
         op = OPS[criterion.op]
         if criterion.check == "count":
             return op(len(records), criterion.value)
-        hits = [op(rec.get(criterion.field_name), criterion.value) for rec in records]
+        hits = []
+        for rec in records:
+            actual = rec.get(criterion.field_name)
+            try:
+                hits.append(op(actual, criterion.value))
+            except TypeError:
+                raise TypeError(
+                    f"op {criterion.op!r} cannot compare the field {criterion.field_name!r} "
+                    f"({type(actual).__name__}) with the value {criterion.value!r} "
+                    f"({type(criterion.value).__name__})") from None
         if criterion.check == "all":
             return bool(hits) and all(hits)
         if criterion.check == "any":
@@ -108,7 +117,10 @@ def evaluate_success(world: World, scenario: Scenario) -> dict:
     results = []
     goals: dict[str, bool] = {}
     for criterion in scenario.validation:
-        ok = _check_criterion(world, criterion)
+        try:
+            ok = _check_criterion(world, criterion)
+        except TypeError as exc:
+            raise PhonesimError(f"{scenario.id}: criterion {criterion.goal!r}: {exc}") from exc
         results.append({"kind": criterion.kind, "goal": criterion.goal, "passed": ok})
         goals[criterion.goal] = goals.get(criterion.goal, True) and ok
     return {

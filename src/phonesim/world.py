@@ -227,7 +227,7 @@ class World:
     def _system_tool(self, tool_name: str, args: dict) -> str:
         if tool_name == "current_time":
             outcome = f"current time: {self.clock.render()}"
-            self._log_tool("user", f"{SYSTEM_APP}__current_time", args, mode=None,
+            self._log_tool("user", f"{SYSTEM_APP}__current_time", plain_copy(args), mode=None,
                            outcome=outcome)
             return outcome
         if tool_name not in NAV_TOOLS:
@@ -245,7 +245,7 @@ class World:
             outcome = "returned to the home screen"
         else:
             outcome = f"switched to {target} at {self.sessions[target]['state']}"
-        self._log_tool("user", f"{SYSTEM_APP}__{tool_name}", args, mode=None,
+        self._log_tool("user", f"{SYSTEM_APP}__{tool_name}", plain_copy(args), mode=None,
                        outcome=outcome)
         return outcome
 
@@ -270,7 +270,7 @@ class World:
                           session=session, args=args)
         outcome = self._guarded(transition.tool, transition.handler, ctx)
         session["state"] = ctx.next_state or transition.default_target() or session["state"]
-        self._log_tool("user", f"{app_id}__{tool_name}", args, mode=None,
+        self._log_tool("user", f"{app_id}__{tool_name}", plain_copy(args), mode=None,
                        outcome=outcome)
         return outcome
 
@@ -371,7 +371,7 @@ class World:
             self.read_actions_total += 1
             if mode == "observe":
                 self.read_actions_observe += 1
-        self._log_tool("assistant", qualified, args, mode=mode, outcome=outcome)
+        self._log_tool("assistant", qualified, plain_copy(args), mode=mode, outcome=outcome)
         return outcome
 
     def _interface_action(self, tool_name: str, args: dict) -> str:
@@ -428,12 +428,15 @@ class World:
 
     def _log_tool(self, actor: str, qualified: str, args: dict,
                   mode: str | None, outcome: str) -> None:
+        """Log a tool application with `args` as they are: user and assistant
+        callers pass a copy of theirs, and events their frozen, shared
+        payload (`checkpoint` copies the log)."""
         self.tool_log.append({
             "turn": self.turn,
             "sim_time": self.clock.now,
             "actor": actor,
             "tool": qualified,
-            "args": plain_copy(args),
+            "args": args,
             "mode": mode,
             "outcome": outcome,
         })

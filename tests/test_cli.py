@@ -15,6 +15,7 @@ import phonesim.llm
 from phonesim.cli import build_parser, main
 from phonesim.policies import WAIT_ACTION, load_script
 from phonesim.react import format_step
+from test_scenario import base_doc
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
 SCENARIOS = DATA / "scenarios"
@@ -251,12 +252,63 @@ def test_failing_event_aborts_only_its_own_episode(tmp_path):
     assert not any("aborted_reason" in r for r in by_id["email_reply"])
 
 
+def test_run_searches_fields_that_are_missing_or_not_strings(tmp_path):
+    """An init email whose subject is a number and which has no body, and a
+    conversation with a numeric title and participant, are searched as text:
+    the run writes its record instead of ending in a traceback."""
+    scenario = tmp_path / "odd_fields.yaml"
+    scenario.write_text(
+        "schema_version: 1\nid: odd_fields\napps: [EmailApp, MessagingApp]\n"
+        "start_time: '2025-01-01 08'\nmax_turns: 2\n"
+        "init:\n  EmailApp:\n    emails:\n      - {folder: inbox, subject: 2024}\n"
+        "  MessagingApp:\n    conversations:\n"
+        "      - {title: 7, participants: [ana, 12], messages: []}\n"
+        "validation:\n"
+        "  - {kind: action_required, tool: EmailApp__search_emails, actor: assistant}\n"
+        "  - {kind: action_required, tool: MessagingApp__search_conversations}\n", "utf-8")
+    user = tmp_path / "user.yaml"
+    user.write_text(
+        "- {action: SystemApp__open_app, action_input: {app_name: MessagingApp}}\n"
+        "- {action: MessagingApp__search_conversations, action_input: {query: '12'}}\n",
+        "utf-8")
+    assistant = tmp_path / "assistant.yaml"
+    assistant.write_text(
+        "- {action: EmailApp__search_emails, action_input: {query: '2024'}}\n", "utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(scenario), "--user-policy", f"scripted:{user}",
+                 "--assistant-policy", f"scripted:{assistant}", "--out", str(out)]) == 0
+    [record] = [json.loads(line) for line in
+                (out / "cell_noise0_fail0" / "records.jsonl").read_text().splitlines()]
+    assert record["success"] and "aborted_reason" not in record
+
+
 def _run_fails_with_one_line(capsys, argv):
     """`phonesim run` ends with exit code 1 and one `error:` line, no traceback."""
     assert main(["run", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     return err
+
+
+@pytest.mark.parametrize("check, op", [("all", ">="), ("any", "contains")])
+def test_criterion_that_cannot_compare_its_field_fails_in_one_line(tmp_path, capsys,
+                                                                   check, op):
+    """A criterion whose `value` cannot be compared with the record field is
+    one FAIL line from `validate` and one `error:` line from `run`, naming
+    the scenario, the goal, the op and both types."""
+    doc = base_doc()
+    doc["validation"].append({"kind": "db_predicate", "goal": "subject-check",
+                              "app": "EmailApp", "store": "emails", "check": check,
+                              "field": "subject", "op": op, "value": 3})
+    scenario = tmp_path / "mismatch.yaml"
+    scenario.write_text(yaml.safe_dump(doc), "utf-8")
+    message = (f"t: criterion 'subject-check': op '{op}' cannot compare the field "
+               f"'subject' (str) with the value 3 (int)")
+    assert main(["validate", "--scenarios", str(scenario)]) == 1
+    assert capsys.readouterr().out == f"FAIL {scenario}: {message}\n"
+    err = _run_fails_with_one_line(capsys, ["--scenarios", str(scenario),
+                                            "--out", str(tmp_path / "out")])
+    assert err == f"error: {message}\n"
 
 
 def test_run_reports_a_scenario_that_fails_its_schema(tmp_path, capsys):

@@ -20,6 +20,24 @@ def test_clock_renders_minutes():
     assert clock.render() == "2025-06-01 09:01"
 
 
+def test_clock_render_follows_now_and_stays_out_of_state():
+    clock = SimClock(parse_start_time("2025-06-01 09"), tick=90)
+    fresh = SimClock(parse_start_time("2025-06-01 09"), tick=90)
+    assert clock.render() == clock.render() == "2025-06-01 09:00"
+    clock.advance()
+    assert clock.render() == "2025-06-01 09:01"
+    clock.advance()
+    assert clock.render() == "2025-06-01 09:03"
+    clock.now = 86_400.0
+    assert clock.render() == "2025-06-02 09:00"
+    clock.now = 0.0
+    assert clock.render() == "2025-06-01 09:00"
+    # The rendered text is no part of the clock's state.
+    assert clock == fresh and repr(clock) == repr(fresh)
+    assert clock.to_dict() == fresh.to_dict() == {
+        "start_time": "2025-06-01 09", "tick": 90, "now": 0.0}
+
+
 def test_same_time_events_deliver_fifo():
     q = EventQueue()
     for eid in ("first", "second", "third"):
@@ -71,3 +89,17 @@ def test_queue_snapshot_roundtrip():
     assert digest(snapshot) == digest(scheduled().to_dict())
     assert [(t, e.id) for t, e in q.pop_due(300)] == [(60.0, "a"), (60.0, "a2"), (180.0, "b")]
     assert q.to_dict() == {"pending": [], "seq": 3}
+
+
+def test_events_are_immutable_and_snapshot_every_field_in_order():
+    event = Event("n1", "noise", 60.0, "EmailApp", "deliver_email", {"subject": "s"})
+    assert event == Event(id="n1", kind="noise", at=60.0, app="EmailApp",
+                          tool="deliver_email", args={"subject": "s"}, notify="both")
+    with pytest.raises(AttributeError):
+        event.at = 0.0
+    q = EventQueue()
+    q.schedule(event)
+    [item] = q.to_dict()["pending"]
+    assert list(item["event"].items()) == [
+        ("id", "n1"), ("kind", "noise"), ("at", 60.0), ("app", "EmailApp"),
+        ("tool", "deliver_email"), ("args", {"subject": "s"}), ("notify", "both")]

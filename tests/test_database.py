@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import phonesim.database
-from phonesim.database import Store, WorldDatabase, canonical_json, digest, plain_copy
-from phonesim.errors import SeedDataInvalid
+from phonesim.database import SEP, Store, WorldDatabase, canonical_json, digest, plain_copy
+from phonesim.errors import GuardFailed, SeedDataInvalid
+from phonesim.fsm import ToolContext, ToolSpec
+from phonesim.world import World
 
 
 def test_store_assigns_prefixed_sequential_ids():
@@ -249,3 +251,94 @@ def test_reads_sort_only_after_an_out_of_order_add_a_rollback_or_a_load(monkeypa
     db.restore_app("EmailApp", saved)
     db.close_app("EmailApp")
     assert sorts_per_read() == 1
+
+
+# -- search: folded text kept per record, dropped by every write
+
+# Text from a small alphabet, so queries often hit, now and then a number or
+# a missing field; SEP joins a record's folded fields inside the store.
+_VALUE = st.one_of(st.text(alphabet=f"aAb {SEP}", max_size=4), st.integers(-2, 12), st.none())
+_QUERY = st.text(alphabet=f"aAb1 {SEP}", max_size=3)
+SEARCHED = ("subject", "body", "tags")
+_SEARCH_WRITE = st.one_of(
+    st.tuples(st.just("add"), st.none() | st.from_regex(r"E[0-9]{1,4}", fullmatch=True),
+              _VALUE, _VALUE),
+    st.tuples(st.just("remove"), st.integers(0, 50)),
+    st.tuples(st.just("update"), st.integers(0, 50), st.sampled_from(SEARCHED[:2]), _VALUE),
+    st.tuples(st.just("append"), st.integers(0, 50), _VALUE),
+)
+
+
+def _search_write(store, step):
+    """One write; a None value leaves the field out of an added record."""
+    if step[0] == "add":
+        rid = step[1] or f"E{store.counter + 1:03d}"
+        if rid not in store.records:
+            record = {"id": step[1], "tags": []}
+            record.update({name: value for name, value in zip(SEARCHED, step[2:])
+                           if value is not None})
+            store.add(record)
+    elif len(store):
+        rid = list(store.records)[step[1] % len(store)]
+        if step[0] == "remove":
+            store.remove(rid)
+        elif step[0] == "update":
+            store.update(rid, **{step[2]: step[3]})
+        else:
+            store.append(rid, "tags", step[2])
+
+
+def _naive_search(store, fields, query):
+    query = query.lower()
+    return [rec for rec in sorted(store.records.values(), key=lambda r: record_order(r["id"]))
+            if any(query in str(rec.get(name, "")).lower() for name in fields)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_SEARCH_WRITE,
+                          st.tuples(st.just("rollback"), st.lists(_SEARCH_WRITE, max_size=4))),
+                max_size=30),
+       st.lists(_QUERY, min_size=1, max_size=4))
+@example([("add", None, "a", "b"), ("add", "E0001", 3, None)], [f"a{SEP}b", "3", ""])
+@example([("add", None, "ab", None), ("rollback", [("update", 0, "subject", "b"),
+                                                   ("append", 0, "a"), ("remove", 0)])],
+         ["ab", "'a'"])
+def test_search_matches_a_naive_scan_after_any_writes(steps, queries):
+    """After adds (out of order ones too, which force a re-sort), updates,
+    appends, removes and writes that `World._guarded` rolls back, `search`
+    returns what a scan that folds every field on every call returns, for
+    queries holding SEP as well."""
+    world = World("2025-06-01 09")
+    store = world.db.create_store("EmailApp", "emails", "E")
+    ctx = ToolContext(db=world.db, app_id="EmailApp", clock=world.clock, session={}, args={})
+
+    def rejected(inner):
+        def handler(ctx):
+            for step in inner:
+                _search_write(store, step)
+            raise GuardFailed("rolled back")
+        return handler
+
+    for step in steps:
+        if step[0] == "rollback":
+            with pytest.raises(GuardFailed):
+                world._guarded(ToolSpec("write"), rejected(step[1]), ctx)
+        else:
+            _search_write(store, step)
+        for query in queries:
+            for fields in (SEARCHED, SEARCHED[:1]):
+                assert _ids(store.search(fields, query)) == _ids(
+                    _naive_search(store, fields, query))
+
+
+def test_search_reads_missing_and_non_string_fields_as_text():
+    store = Store("E")
+    store.add({"subject": 2024})                       # no body
+    store.add({"subject": "Year 2024", "body": "a"})
+    store.add({"subject": f"x{SEP}y", "body": "b"})
+    fields = ("subject", "body")
+    assert _ids(store.search(fields, "2024")) == ["E001", "E002"]
+    assert _ids(store.search(fields, "YEAR")) == ["E002"]
+    # A query holding SEP matches within one field, never across two.
+    assert _ids(store.search(fields, f"2024{SEP}a")) == []
+    assert _ids(store.search(fields, f"X{SEP}Y")) == ["E003"]

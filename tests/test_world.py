@@ -315,6 +315,18 @@ def test_api_delete_closes_the_record_on_the_users_screen():
     assert world.sessions["ApartmentApp"]["open_id"] == "A001"
 
 
+def test_searches_read_missing_and_non_string_fields_as_text():
+    world = make_world("EmailApp", "MessagingApp")
+    world.db.store("EmailApp", "emails").add({"folder": "inbox", "subject": 2024})
+    world.db.store("MessagingApp", "conversations").add(
+        {"title": 7, "participants": ["Ana", 12], "messages": []})
+    assert "id=E001" in world.invoke_agent_tool("EmailApp__search_emails", {"query": "2024"})
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "MessagingApp"})
+    for query in ("7", "ana", "12"):
+        found = world.invoke_user_tool("MessagingApp__search_conversations", {"query": query})
+        assert found.startswith("id=CV001"), query
+
+
 def test_failure_injection_hits_assistant_calls_only():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
