@@ -300,22 +300,34 @@ def _naive_search(store, fields, query):
                 max_size=30),
        st.lists(_QUERY, min_size=1, max_size=4))
 @example([("add", None, "a", "b"), ("add", "E0001", 3, None)], [f"a{SEP}b", "3", ""])
+@example([("add", None, "", ""), ("append", 0, "A")], ["A"])
 @example([("add", None, "ab", None), ("rollback", [("update", 0, "subject", "b"),
-                                                   ("append", 0, "a"), ("remove", 0)])],
-         ["ab", "'a'"])
+                                                   ("append", 0, "a"), ("add", None, "b", "")]),
+          ("remove", 0)],
+         ["ab", "'a'", "b"])
 def test_search_matches_a_naive_scan_after_any_writes(steps, queries):
     """After adds (out of order ones too, which force a re-sort), updates,
     appends, removes and writes that `World._guarded` rolls back, `search`
     returns what a scan that folds every field on every call returns, for
-    queries holding SEP as well."""
+    queries holding SEP as well; and a store keeps search text only for
+    records it holds."""
     world = World("2025-06-01 09")
     store = world.db.create_store("EmailApp", "emails", "E")
     ctx = ToolContext(db=world.db, app_id="EmailApp", clock=world.clock, session={}, args={})
 
+    def check():
+        for query in queries:
+            for fields in (SEARCHED, SEARCHED[:1]):
+                assert _ids(store.search(fields, query)) == _ids(
+                    _naive_search(store, fields, query))
+        assert all(texts.keys() <= store.records.keys() for texts in store._folded.values())
+
     def rejected(inner):
+        """A handler that searches after each write, then fails."""
         def handler(ctx):
             for step in inner:
                 _search_write(store, step)
+                check()
             raise GuardFailed("rolled back")
         return handler
 
@@ -325,10 +337,7 @@ def test_search_matches_a_naive_scan_after_any_writes(steps, queries):
                 world._guarded(ToolSpec("write"), rejected(step[1]), ctx)
         else:
             _search_write(store, step)
-        for query in queries:
-            for fields in (SEARCHED, SEARCHED[:1]):
-                assert _ids(store.search(fields, query)) == _ids(
-                    _naive_search(store, fields, query))
+        check()
 
 
 def test_search_reads_missing_and_non_string_fields_as_text():
