@@ -26,7 +26,7 @@ class Event(NamedTuple):
     at: float                    # seconds since scenario start
     app: str
     tool: str
-    args: dict = {}              # shared by the events that omit it; never changed
+    args: dict
     notify: str = "both"         # "both" | "user" | "assistant" | "none"
 
 
