@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import shlex
@@ -21,6 +22,8 @@ DATA = Path(str(resources.files("phonesim").joinpath("data")))
 SCENARIOS = DATA / "scenarios"
 SCRIPTS = DATA / "scripts"
 README = Path(__file__).resolve().parent.parent / "README.md"
+# Every file that the pack sweep below and its report write, in path order.
+PACK_RUN_SHA256 = "560ee4b36ae3297a1105a5ea566c43650007bef976fdd6ff21a2bbf75e13c6ae"
 
 
 def test_validate_pack_exits_zero(capsys):
@@ -79,6 +82,29 @@ def test_run_is_deterministic_across_invocations(tmp_path):
     assert len(outs[0]) == 8
     assert {"cell_noise2_fail0.1/manifest.json", "cell_noise2_fail0.1/records.jsonl"} <= set(outs[0])
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pack_run_output_is_frozen(tmp_path, monkeypatch, jobs):
+    """The pack sweep with the apartment scripts, run through the CLI, and its
+    report write the same bytes on one thread or two, and the same as when
+    this hash was taken. Paths are relative to the data directory, so the
+    manifests and records that name the policy specs do not depend on where
+    the package is installed."""
+    monkeypatch.chdir(DATA)
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", "scenarios",
+                 "--user-policy", "scripted:scripts/apartment_user.yaml",
+                 "--assistant-policy", "scripted:scripts/apartment_assistant.yaml",
+                 "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
+                 "--failure-prob", "0,0.1", "--jobs", jobs, "--out", str(out)]) == 0
+    assert main(["report", "--records", str(out), "--runs", "2"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(out).as_posix().encode("utf-8") + b"\0")
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == PACK_RUN_SHA256
 
 
 def test_runs_of_one_scenario_do_not_share_init(tmp_path):
