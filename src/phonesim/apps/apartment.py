@@ -4,6 +4,7 @@ Detail has no back transition; exits go through system navigation."""
 
 from __future__ import annotations
 
+from ..database import fold
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
@@ -17,15 +18,24 @@ view_apartment = open_op("apartments", "apartment_id", "apartment")
 
 
 def search(ctx: ToolContext) -> str:
+    """Listings that meet every given criterion. `location` matches as text,
+    folded as `Store.search` folds it (a missing field is ""), and a rent
+    bound skips any listing whose `rent` is missing or not a number."""
+    args = ctx.args
+    location = fold(args["location"]) if "location" in args else None
+    bounded = "max_rent" in args or "min_rent" in args
     hits = []
     for listing in ctx.store("apartments").all():
-        if "location" in ctx.args and ctx.args["location"].lower() not in listing["location"].lower():
+        if location is not None and location not in fold(listing.get("location", "")):
             continue
-        if "max_rent" in ctx.args and listing["rent"] > ctx.args["max_rent"]:
+        rent = listing.get("rent")
+        if bounded and type(rent) not in (int, float):
             continue
-        if "min_rent" in ctx.args and listing["rent"] < ctx.args["min_rent"]:
+        if "max_rent" in args and rent > args["max_rent"]:
             continue
-        if "bedrooms" in ctx.args and listing["bedrooms"] != ctx.args["bedrooms"]:
+        if "min_rent" in args and rent < args["min_rent"]:
+            continue
+        if "bedrooms" in args and listing.get("bedrooms") != args["bedrooms"]:
             continue
         hits.append(listing)
     return render_records(hits, LIST_FIELDS)

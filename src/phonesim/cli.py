@@ -2,7 +2,9 @@
 and aggregate reports.
 
 Exit codes: 0 success; 1 input, validation or metric error; 2 aborted runs
-present, or a usage error that argparse reports before anything runs.
+present (a failing event or a criterion that cannot be scored aborts only
+its own episode), or a usage error that argparse reports before anything
+runs.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _one_policy(spec: str, side: str):
         return (lambda scenario: NoopPolicy(idle)), spec
     if kind == "scripted":
         steps = load_script(arg)
-        return (lambda scenario: ScriptedPolicy(steps, idle)), spec
+        texts = [None] * len(steps)   # each step's text, rendered on first use
+        return (lambda scenario: ScriptedPolicy(steps, idle, texts)), spec
     if kind == "llm":
         config = llm_mod.load_llm_config(arg)
 

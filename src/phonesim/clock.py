@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 TIME_FORMAT = "%Y-%m-%d %H"
 
 
+@functools.cache
 def parse_start_time(text: str) -> datetime:
+    """Parsed once per text: every world of a scenario starts at one time,
+    and a `datetime` is immutable."""
     return datetime.strptime(text, TIME_FORMAT)
 
 

@@ -8,6 +8,7 @@ deterministic for replay and oracle comparison.
 
 from __future__ import annotations
 
+import functools
 from typing import Protocol
 
 from .errors import ScenarioParseError
@@ -23,6 +24,12 @@ class Policy(Protocol):
     def act(self, view, feedback: str | None = None) -> str: ...
 
 
+@functools.cache
+def idle_text(action: str, thought: str) -> str:
+    """An idle step's text, rendered once per (action, thought) pair."""
+    return format_step(action, thought=thought)
+
+
 class NoopPolicy:
     """Idles every step. The idle action differs per side."""
 
@@ -30,7 +37,7 @@ class NoopPolicy:
         self.idle_action = idle_action
 
     def act(self, view, feedback: str | None = None) -> str:
-        return format_step(self.idle_action, thought="Nothing to do.")
+        return idle_text(self.idle_action, "Nothing to do.")
 
 
 class ScriptedPolicy:
@@ -44,10 +51,19 @@ class ScriptedPolicy:
     `load_script` refuses any other gate. A gated step that does not apply
     yields the idle action without being consumed, so scripts stay aligned
     with the episode's phase structure.
+
+    Step texts are rendered once per run, on first use: `texts` is a list
+    with one entry per step, None until some episode first reaches that
+    step. A run passes one list to every episode's policy of one script;
+    without one, the policy renders into its own. Two threads that render
+    the same entry at once store the same text. The steps are shared too,
+    and no one changes them.
     """
 
-    def __init__(self, steps: list[dict], idle_action: str = NOOP_ACTION):
-        self.steps = [dict(s) for s in steps]
+    def __init__(self, steps: list[dict], idle_action: str = NOOP_ACTION,
+                 texts: list[str | None] | None = None):
+        self.steps = steps
+        self.texts = [None] * len(steps) if texts is None else texts
         self.idle_action = idle_action
         self.cursor = 0
 
@@ -62,14 +78,18 @@ class ScriptedPolicy:
         raise ScenarioParseError(f"unknown step gate {when!r}")
 
     def act(self, view, feedback: str | None = None) -> str:
-        while self.cursor < len(self.steps):
-            step = self.steps[self.cursor]
-            if not self._applies(step, view):
-                return format_step(self.idle_action, thought="Waiting for my cue.")
-            self.cursor += 1
-            return format_step(step["action"], step.get("action_input", {}),
-                               thought=step.get("thought", ""))
-        return format_step(self.idle_action, thought="Script finished.")
+        i = self.cursor
+        if i >= len(self.steps):
+            return idle_text(self.idle_action, "Script finished.")
+        step = self.steps[i]
+        if not self._applies(step, view):
+            return idle_text(self.idle_action, "Waiting for my cue.")
+        self.cursor += 1
+        text = self.texts[i]
+        if text is None:
+            text = self.texts[i] = format_step(step["action"], step.get("action_input", {}),
+                                               thought=step.get("thought", ""))
+        return text
 
 
 def load_script(path) -> list[dict]:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from .errors import MalformedAction
 
 END_ACTION = "<end_action>"
+_DECODER = json.JSONDecoder()   # stateless between calls, like json.loads's own
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ def parse_step(text: str) -> Step:
             f"output must end with {END_ACTION!r} after exactly one action")
     body = text.split(END_ACTION, 1)[0]
 
-    decoder = json.JSONDecoder()
     found: list[tuple[int, dict]] = []
     idx = 0
     while True:
@@ -44,13 +44,13 @@ def parse_step(text: str) -> Step:
         if start == -1:
             break
         try:
-            obj, consumed = decoder.raw_decode(body[start:])
+            obj, end = _DECODER.raw_decode(body, start)
         except ValueError:
             idx = start + 1
             continue
         if isinstance(obj, dict) and "action" in obj:
             found.append((start, obj))
-        idx = start + max(consumed, 1)
+        idx = end
 
     if not found:
         raise MalformedAction(

@@ -23,7 +23,7 @@ def build_world(scenario: Scenario, mode: str = "policy",
     assert mode in ("policy", "oracle")
     world = World(start_time=scenario.start_time,
                   tick_seconds=scenario.tick_seconds,
-                  stochastic=stochastic)
+                  stochastic=stochastic, payloads=scenario.payloads)
     for app_id in scenario.apps:
         world.register_app(scenario.machines[app_id])
 
@@ -133,13 +133,20 @@ def evaluate_success(world: World, scenario: Scenario) -> dict:
 def run_episode(scenario: Scenario, user_policy, assistant_policy, *,
                 noise_rate: float, failure_prob: float, run_index: int = 0,
                 seed: int = 0, max_turns: int | None = None) -> dict:
-    """Play one policy episode and return its run record."""
+    """Play one policy episode and return its run record. An error raised
+    while the episode is scored aborts only this episode: its record fails
+    every goal and names the error, unless the episode had aborted first."""
     world = build_world(scenario, mode="policy", stochastic=StochasticConfig(
         noise_rate=noise_rate, failure_prob=failure_prob, seed=seed))
     episode = Episode(world, user_policy, assistant_policy,
                       max_turns=scenario.max_turns if max_turns is None else max_turns)
     episode.run()
-    verdict = evaluate_success(world, scenario)
+    aborted_reason = episode.aborted_reason
+    try:
+        verdict = evaluate_success(world, scenario)
+    except PhonesimError as exc:
+        verdict = {"success": False, "goals": dict.fromkeys(scenario.goals(), False)}
+        aborted_reason = aborted_reason or f"scoring failed: {exc}"
 
     record = {
         "scenario_id": scenario.id,
@@ -158,6 +165,6 @@ def run_episode(scenario: Scenario, user_policy, assistant_policy, *,
         "read_actions_total": world.read_actions_total,
         "turns_used": world.turn,
     }
-    if episode.aborted_reason is not None:
-        record["aborted_reason"] = episode.aborted_reason
+    if aborted_reason is not None:
+        record["aborted_reason"] = aborted_reason
     return record

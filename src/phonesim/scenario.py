@@ -81,6 +81,13 @@ class Scenario:
     # never mutated, by every world and thread that runs the scenario.
     machines: dict[str, AppStateMachine] = field(
         default_factory=dict, compare=False, repr=False)
+    # The event-payload memo (`World._payload`) that `build_world` hands to
+    # every world it builds from the scenario, so each payload is looked up,
+    # checked, digested and rendered once per run, not once per episode.
+    # Safe to share between worlds and threads: an entry depends only on its
+    # payload and on `machines`, and holds its args, so no id in a key is
+    # reused.
+    payloads: dict = field(default_factory=dict, compare=False, repr=False)
 
     def goals(self) -> list[str]:
         seen: list[str] = []

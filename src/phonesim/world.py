@@ -80,7 +80,8 @@ class World:
     current_user = ToolContext.current_user  # in every checkpoint (JSON_FIELDS)
 
     def __init__(self, start_time: str, tick_seconds: int = 60,
-                 stochastic: StochasticConfig | None = None):
+                 stochastic: StochasticConfig | None = None,
+                 payloads: dict | None = None):
         self.clock = SimClock(parse_start_time(start_time), tick=tick_seconds)
         self.db = WorldDatabase()
         self.queue = EventQueue()
@@ -104,9 +105,12 @@ class World:
 
         self.tool_log: list[dict] = []        # every successful tool application
         self.event_log: list[dict] = []       # every resolved event
-        # (kind, app, tool, id(args)) -> (args, api tool, args digest,
-        # notification); see `_payload`. Not part of a checkpoint.
-        self._payloads: dict[tuple[str, str, str, int], tuple] = {}
+        # The event-payload memo, (kind, app, tool, id(args)) -> (args, api
+        # tool, args digest, notification); see `_payload`. `build_world`
+        # passes its scenario's, shared by every world of that scenario; a
+        # world built directly owns a fresh one. Not part of a checkpoint.
+        self._payloads: dict[tuple[str, str, str, int], tuple] = (
+            {} if payloads is None else payloads)
 
     # ------------------------------------------------------------------
     # Registration and scheduling
@@ -138,11 +142,20 @@ class World:
     def _payload(self, event: Event) -> tuple[ApiTool | None, str, Notification]:
         """The work that depends only on an event's payload, done once per
         payload: the checked API tool (None for a completion), the args
-        digest and the rendered notification. Noise events of one catalog
-        entry share their args dict, so they share one memo entry; the entry
-        holds that dict, so its id is not reused while the memo lives. The
-        kind is part of the key because a completion looks up no tool. A
-        failed lookup or argument check is not memoised and raises again."""
+        digest and the rendered notification.
+
+        The memo belongs to the scenario when `build_world` made the world,
+        and is then shared by every world, episode and thread of the run
+        that plays that scenario; a world built directly owns its own. An
+        entry depends only on the payload and on the app machines, which the
+        worlds of one scenario share, never on a world's state, so any of
+        them may fill it and all read the same values. `Event` is immutable
+        and no one changes its args. Noise events of one catalog entry share
+        their args dict, so they share one entry; the entry holds that dict,
+        so its id is not reused while the memo lives. Two threads that fill
+        one entry at once store equal values. The kind is part of the key
+        because a completion looks up no tool. A failed lookup or argument
+        check is not memoised and raises again, in every world."""
         key = (event.kind, event.app, event.tool, id(event.args))
         memo = self._payloads.get(key)
         if memo is None:

@@ -67,21 +67,28 @@ def test_run_and_report_roundtrip(tmp_path, capsys):
 
 def test_run_is_deterministic_across_invocations(tmp_path):
     """The whole pack over a noise x failure sweep writes the same manifest
-    and record bytes in every cell, on one thread, two or three."""
+    and record bytes in every cell, on one thread, two, three or eight. The
+    threads switch every few microseconds, so several fill one run's shared
+    step texts and payload memos at once."""
     outs = []
-    for jobs in ("1", "2", "3"):
+    interval = sys.getswitchinterval()
+    for jobs in ("1", "2", "3", "8"):
         out = tmp_path / f"jobs{jobs}"
-        main(["run",
-              "--scenarios", str(SCENARIOS),
-              "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",
-              "--assistant-policy", f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}",
-              "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
-              "--failure-prob", "0,0.1", "--jobs", jobs, "--out", str(out)])
+        sys.setswitchinterval(1e-5)
+        try:
+            main(["run",
+                  "--scenarios", str(SCENARIOS),
+                  "--user-policy", f"scripted:{SCRIPTS / 'apartment_user.yaml'}",
+                  "--assistant-policy", f"scripted:{SCRIPTS / 'apartment_assistant.yaml'}",
+                  "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
+                  "--failure-prob", "0,0.1", "--jobs", jobs, "--out", str(out)])
+        finally:
+            sys.setswitchinterval(interval)
         outs.append({str(p.relative_to(out)): p.read_bytes()
                      for p in sorted(out.rglob("*")) if p.is_file()})
     assert len(outs[0]) == 8
     assert {"cell_noise2_fail0.1/manifest.json", "cell_noise2_fail0.1/records.jsonl"} <= set(outs[0])
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -320,8 +327,8 @@ def _run_fails_with_one_line(capsys, argv):
 def test_criterion_that_cannot_compare_its_field_fails_in_one_line(tmp_path, capsys,
                                                                    check, op):
     """A criterion whose `value` cannot be compared with the record field is
-    one FAIL line from `validate` and one `error:` line from `run`, naming
-    the scenario, the goal, the op and both types."""
+    one FAIL line from `validate`, and in `run` the reason its episode
+    aborted, naming the scenario, the goal, the op and both types."""
     doc = base_doc()
     doc["validation"].append({"kind": "db_predicate", "goal": "subject-check",
                               "app": "EmailApp", "store": "emails", "check": check,
@@ -332,9 +339,40 @@ def test_criterion_that_cannot_compare_its_field_fails_in_one_line(tmp_path, cap
                f"'subject' (str) with the value 3 (int)")
     assert main(["validate", "--scenarios", str(scenario)]) == 1
     assert capsys.readouterr().out == f"FAIL {scenario}: {message}\n"
-    err = _run_fails_with_one_line(capsys, ["--scenarios", str(scenario),
-                                            "--out", str(tmp_path / "out")])
-    assert err == f"error: {message}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    [record] = [json.loads(line) for line in
+                (out / "cell_noise0_fail0" / "records.jsonl").read_text().splitlines()]
+    assert record["aborted_reason"] == f"scoring failed: {message}"
+    assert record["success"] is False
+    assert record["goals"] == dict.fromkeys(["main", "subject-check"], False)
+
+
+def test_a_criterion_that_cannot_score_aborts_only_its_own_episodes(tmp_path):
+    """A copy of `email_reply` with a criterion that cannot compare its field,
+    run beside the original: every record is written, the copy's episodes
+    abort, and `email_reply`'s records are those of a run without the copy."""
+    doc = yaml.safe_load((SCENARIOS / "email_reply.yaml").read_text("utf-8"))
+    doc["id"] = "email_reply_mismatch"
+    doc["validation"].append({"kind": "db_predicate", "app": "EmailApp", "store": "emails",
+                              "check": "all", "field": "subject", "op": ">=", "value": 3})
+    broken = tmp_path / "email_reply_mismatch.yaml"
+    broken.write_text(yaml.safe_dump(doc), "utf-8")
+    runs = {}
+    for name, scenarios, code in (("alone", [], 0), ("beside", [str(broken)], 2)):
+        out = tmp_path / name
+        assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"), *scenarios,
+                     "--runs", "2", "--jobs", "2", "--out", str(out)]) == code
+        runs[name] = [json.loads(line) for line in
+                      (out / "cell_noise0_fail0" / "records.jsonl").read_text().splitlines()]
+    assert len(runs["beside"]) == 4
+    assert [r for r in runs["beside"] if r["scenario_id"] == "email_reply"] == runs["alone"]
+    for record in runs["beside"][2:]:
+        assert record["scenario_id"] == "email_reply_mismatch"
+        assert record["aborted_reason"].startswith(
+            "scoring failed: email_reply_mismatch: criterion 'main': op '>='")
+        assert record["success"] is False and not any(record["goals"].values())
 
 
 def test_run_reports_a_scenario_that_fails_its_schema(tmp_path, capsys):

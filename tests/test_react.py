@@ -56,3 +56,18 @@ def test_malformed_objects_rejected():
         parse_step('{"action": "x", "action_input": []}<end_action>')
     with pytest.raises(MalformedAction):
         parse_step('{"action": "x", "action_input": {}, "zz": 1}<end_action>')
+
+
+def test_an_action_after_a_stray_brace_is_found():
+    text = ('Thought: the subject says {urgent and {"note": 1} is no action\nAction:\n'
+            '{"action": "a__b", "action_input": {"x": "}{"}}\n<end_action>')
+    step = parse_step(text)
+    assert (step.action, step.action_input) == ("a__b", {"x": "}{"})
+    assert step.thought == 'the subject says {urgent and {"note": 1} is no action'
+
+
+def test_two_actions_after_a_stray_brace_are_rejected():
+    text = ('{ oops {"action": "noop", "action_input": {}} '
+            '{"action": "noop", "action_input": {}}<end_action>')
+    with pytest.raises(MalformedAction, match="exactly one action"):
+        parse_step(text)

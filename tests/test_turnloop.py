@@ -3,8 +3,11 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import phonesim.cli
+import phonesim.policies
 from phonesim.apps import build_app
 from phonesim.policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
+from phonesim.react import format_step
 from phonesim.runner import build_world
 from phonesim.scenario import load_scenario
 from phonesim.stochastic import StochasticConfig, run_seed
@@ -183,3 +186,68 @@ def test_episode_transcripts_are_frozen():
                         "The assistant ran out of steps before finishing the task."):
         assert observation in text
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRANSCRIPTS_SHA256
+
+
+# -- a run renders each script step's text once, on first use
+
+class _Recording:
+    """A policy wrapper that keeps every text the policy returned."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.texts = []
+
+    def act(self, view, feedback=None):
+        self.texts.append(self.policy.act(view, feedback))
+        return self.texts[-1]
+
+
+def test_episodes_sharing_a_runs_step_texts_play_as_fresh_policies():
+    """Two episodes run turn by turn in alternation, whose policies share one
+    text list per script as a run's do, return the texts that fresh policies
+    return and play the same episodes; every shared entry is `format_step`'s
+    text for its step."""
+    scenario = load_scenario(DATA / "scenarios/apartment_budget.yaml")
+    scripts = {"user": load_script(DATA / "scripts/apartment_user.yaml"),
+               "assistant": load_script(DATA / "scripts/apartment_assistant.yaml")}
+    shared = {side: [None] * len(steps) for side, steps in scripts.items()}
+
+    def episode(noise_rate, failure_prob, texts):
+        world = build_world(scenario, stochastic=StochasticConfig(
+            noise_rate=noise_rate, failure_prob=failure_prob, seed=3))
+        return Episode(world,
+                       _Recording(ScriptedPolicy(scripts["user"], NOOP_ACTION, texts["user"])),
+                       _Recording(ScriptedPolicy(scripts["assistant"], WAIT_ACTION,
+                                                 texts["assistant"])),
+                       max_turns=scenario.max_turns)
+
+    interleaved = [episode(*cell, shared) for cell in TRANSCRIPT_CELLS[1:3]]
+    while not all(e.finished for e in interleaved):
+        for e in interleaved:
+            if not e.finished:
+                e.run_turn()
+    for e, cell in zip(interleaved, TRANSCRIPT_CELLS[1:3]):
+        fresh = episode(*cell, {"user": None, "assistant": None})
+        fresh.run()
+        assert e.user_policy.texts == fresh.user_policy.texts
+        assert e.assistant_policy.texts == fresh.assistant_policy.texts
+        assert _transcript(e) == _transcript(fresh)
+    for side, steps in scripts.items():
+        assert shared[side][0] is not None
+        for step, text in zip(steps, shared[side]):
+            assert text in (None, format_step(step["action"], step.get("action_input"),
+                                              step.get("thought", "")))
+
+
+def test_a_scripted_spec_renders_no_step_until_an_episode_reaches_it(monkeypatch):
+    rendered = []
+    real = phonesim.policies.format_step
+    monkeypatch.setattr(phonesim.policies, "format_step",
+                        lambda *args, **kwargs: rendered.append(args) or real(*args, **kwargs))
+    make, _ = phonesim.cli._policy(f"scripted:{DATA / 'scripts/apartment_user.yaml'}", "user")
+    scenario = load_scenario(DATA / "scenarios/apartment_budget.yaml")
+    first, second = make(scenario), make(scenario)
+    assert rendered == []
+    text = first.act(None)
+    assert len(rendered) == 1 and second.act(None) is text and len(rendered) == 1
+    assert NoopPolicy(NOOP_ACTION).act(None) is NoopPolicy(NOOP_ACTION).act(None)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -327,6 +328,31 @@ def test_searches_read_missing_and_non_string_fields_as_text():
         assert found.startswith("id=CV001"), query
 
 
+def test_apartment_search_reads_odd_locations_and_skips_unpriced_listings():
+    """A numeric `location` is matched as text, folded as the store's search
+    folds it, and a rent bound skips every listing whose rent is missing or
+    not a number instead of ending the call in a traceback."""
+    world = make_world("ApartmentApp")
+    listings = world.db.store("ApartmentApp", "apartments")
+    listings.add({"name": "Five", "location": 5, "rent": 900, "bedrooms": 1})
+    listings.add({"name": "Unpriced", "location": "Midtown", "bedrooms": 2})
+    listings.add({"name": "On request", "location": "Midtown", "rent": "ask", "bedrooms": 2})
+    listings.add({"name": "Flag", "location": "Midtown", "rent": True, "bedrooms": 2})
+    listings.add({"name": "Cheap", "location": "MIDTOWN", "rent": 800})
+
+    def ids(args):
+        found = world.invoke_agent_tool("ApartmentApp__search_apartments", args)
+        return [line.split()[0] for line in found.splitlines()]
+
+    assert ids({"location": "5"}) == ["id=A001"]
+    assert ids({"location": "midtown"}) == ["id=A002", "id=A003", "id=A004", "id=A005"]
+    assert ids({"max_rent": 1000}) == ["id=A001", "id=A005"]
+    assert ids({"min_rent": 850}) == ["id=A001"]
+    assert ids({"location": "Mid", "max_rent": 1000}) == ["id=A005"]
+    assert ids({"bedrooms": 2}) == ["id=A002", "id=A003", "id=A004"]
+    assert ids({"max_rent": 100}) == ["(no"]
+
+
 def test_failure_injection_hits_assistant_calls_only():
     world = make_world("EmailApp",
                        stochastic=StochasticConfig(failure_prob=1.0, seed=1))
@@ -618,3 +644,46 @@ def test_event_lookup_failures_raise_on_every_delivery():
             world.resolve_due_events()
     assert [entry["id"] for entry in world.event_log] == ["good"]
     assert len(world.db.store("EmailApp", "emails")) == 1
+
+
+# -- worlds built from one scenario share its payload memo
+
+def _short_noisy_world(scenario, seed):
+    """A world of `scenario` under noise, its events resolved turn by turn."""
+    world = build_world(scenario, stochastic=StochasticConfig(noise_rate=20, seed=seed))
+    for _ in range(20):
+        world.turn += 1
+        world.resolve_due_events()
+    return world
+
+
+def test_worlds_of_one_scenario_share_its_payload_memo():
+    """Two worlds built from one scenario fill and read the scenario's memo,
+    and log and checkpoint as a world with a fresh memo does."""
+    scenario = parse_scenario(NOISY)
+    shared = [_short_noisy_world(scenario, seed) for seed in (1, 2)]
+    assert all(world._payloads is scenario.payloads for world in shared)
+    assert 0 < len(scenario.payloads) <= 20
+    for world, seed in zip(shared, (1, 2)):
+        fresh = _short_noisy_world(dataclasses.replace(scenario, payloads={}), seed)
+        assert fresh._payloads is not scenario.payloads
+        assert len(world.event_log) > 300
+        assert world.event_log == fresh.event_log
+        assert world.checkpoint() == fresh.checkpoint()
+    assert shared[0].event_log != shared[1].event_log
+    # A world built directly owns its memo; the memo is not world state.
+    assert make_world()._payloads == {}
+    assert not any("payload" in key for key in shared[0].checkpoint())
+
+
+def test_a_payload_that_fails_its_check_raises_in_every_world_of_a_scenario():
+    scenario = parse_scenario(NOISY)
+    bad = {"sender": "a", "subject": 5, "body": "b"}
+    for _ in range(2):
+        world = build_world(scenario)
+        world.schedule_event(Event(id="bad", kind="environment", at=30,
+                                   app="EmailApp", tool="deliver_email", args=bad))
+        with pytest.raises(ArgumentInvalid):
+            world.resolve_due_events()
+        assert world.event_log == []
+        assert not any(key[3] == id(bad) for key in scenario.payloads)
