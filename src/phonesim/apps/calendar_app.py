@@ -1,7 +1,9 @@
 """Calendar app: Agenda, Detail, and a draft-backed Edit screen.
 
-The Edit screen holds a draft in the screen context; save writes the event
-(update when editing, create when composing) and returns to the entry screen.
+An event has the shape `EVENT`: title, start, end, tag, description,
+location and attendees. The Edit screen holds a draft of every field in the
+screen context; save writes the event (update when editing, create when
+composing) and returns to the entry screen.
 """
 
 from __future__ import annotations
@@ -11,26 +13,14 @@ import json
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    DEFAULT_PAGE, PAGING, append_draft, by_index, delete_op, draft, list_op, on_open, open_op,
-    open_record, read_op, render_records, require_record, search_op, set_draft,
+    DEFAULT_PAGE, PAGING, append_draft, by_index, delete_op, draft, list_op, new_record, on_open,
+    open_op, open_record, read_op, render_records, require_record, search_op, set_draft,
 )
 
 LIST_FIELDS = ("title", "start", "end", "tag")
 DRAFT = "event draft"
-
-
-def _fresh_draft() -> dict:
-    return {"title": "", "start": "", "end": "", "tag": "", "description": "",
-            "location": "", "attendees": []}
-
-
-def _add_event(store, title: str, start: str, end: str, tag: str = "",
-               description: str = "", location: str = "", attendees: list | None = None) -> str:
-    return store.add({
-        "title": title, "start": start, "end": end, "tag": tag,
-        "description": description, "location": location,
-        "attendees": list(attendees or []),
-    })
+EVENT = {"title": "", "start": "", "end": "", "tag": "", "description": "", "location": "",
+         "attendees": []}
 
 
 # -- Agenda -------------------------------------------------------------------
@@ -55,8 +45,10 @@ def filter_by_attendee(ctx: ToolContext) -> str:
 
 
 def add_calendar_event_by_attendee(ctx: ToolContext) -> str:
-    rid = _add_event(ctx.store("events"), ctx.args["title"], ctx.args["start"],
-                     ctx.args["end"], attendees=[ctx.args["attendee"]])
+    args = ctx.args
+    rid = ctx.store("events").add(new_record(EVENT, {
+        "title": args["title"], "start": args["start"], "end": args["end"],
+        "attendees": [args["attendee"]]}))
     return f"event created as {rid}"
 
 
@@ -77,7 +69,7 @@ def set_day(ctx: ToolContext) -> str:
 
 
 def start_create_event(ctx: ToolContext) -> str:
-    ctx.session["draft"] = _fresh_draft()
+    ctx.session["draft"] = new_record(EVENT, {})
     ctx.session["editing_id"] = None
     ctx.session["edit_return"] = "Agenda"
     return "creating a new event"
@@ -100,9 +92,7 @@ def list_attendees(ctx: ToolContext) -> str:
 
 def edit_event(ctx: ToolContext) -> str:
     event = open_record(ctx, "events", "event")
-    edits = {k: event[k] for k in _fresh_draft()}
-    edits["attendees"] = list(edits["attendees"])
-    ctx.session["draft"] = edits
+    ctx.session["draft"] = new_record(EVENT, {k: event[k] for k in EVENT})
     ctx.session["editing_id"] = event["id"]
     ctx.session["edit_return"] = "Detail"
     return f"editing {event['id']}"
@@ -146,7 +136,7 @@ def save(ctx: ToolContext) -> str:
         return f"event {editing} updated"
     if not current["title"] or not current["start"]:
         raise GuardFailed("draft needs at least a title and a start time")
-    rid = _add_event(ctx.store("events"), **current)
+    rid = ctx.store("events").add(new_record(EVENT, current))
     _edit_exit(ctx)
     return f"event created as {rid}"
 
@@ -163,9 +153,7 @@ delete_event = delete_op("events", "event_id", "event")
 
 
 def api_add_event(ctx: ToolContext) -> str:
-    rid = _add_event(ctx.store("events"), ctx.args["title"], ctx.args["start"], ctx.args["end"],
-                     tag=ctx.args.get("tag", ""), description=ctx.args.get("description", ""),
-                     location=ctx.args.get("location", ""), attendees=ctx.args.get("attendees"))
+    rid = ctx.store("events").add(new_record(EVENT, ctx.args))
     return f"event created as {rid}"
 
 

@@ -9,6 +9,10 @@ record the screen has open to that argument. Builders: `list_op`,
 Screen patterns have builders too: `open_op` opens a record, `open_record`
 reads the open one, and `draft`, `set_draft` and `append_draft` read and
 edit the draft an edit screen holds in its session until save or cancel.
+
+A record shape that an app builds in more than one place is declared once in
+its app module, as a mapping of field to default, and every draft, screen
+save and API create of that store builds its record with `new_record`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,21 @@ def render_records(records: list[dict], fields: tuple[str, ...]) -> str:
         parts += [f"{f}={rec.get(f)!r}" for f in fields if f in rec]
         lines.append(" ".join(parts))
     return "\n".join(lines)
+
+
+def new_record(shape: dict, fields: dict) -> dict:
+    """A record of `shape`: `fields` laid over the shape's defaults, with
+    each list copied, so that the record shares no list with the shape or
+    with `fields` (event arguments are shared by every world of a
+    scenario). A field the shape does not declare is a programming error."""
+    record = shape | fields
+    if len(record) != len(shape):
+        raise ValueError(f"fields {sorted(fields.keys() - shape.keys())} are not in the shape "
+                         f"{list(shape)}")
+    for name, value in record.items():
+        if type(value) is list:
+            record[name] = value.copy()
+    return record
 
 
 def require_record(store: Store, record_id: str, what: str) -> dict:

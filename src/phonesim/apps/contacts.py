@@ -1,14 +1,16 @@
-"""Contacts app: List, Detail, Edit."""
+"""Contacts app: List, Detail, Edit. A contact has the shape `CONTACT`:
+name, email, phone and notes."""
 
 from __future__ import annotations
 
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    DEFAULT_PAGE, PAGING, delete_op, list_op, on_open, open_op, open_record, read_op, search_op,
-    update_op,
+    DEFAULT_PAGE, PAGING, delete_op, list_op, new_record, on_open, open_op, open_record, read_op,
+    search_op, update_op,
 )
 
 LIST_FIELDS = ("name", "email", "phone")
+CONTACT = {"name": "", "email": "", "phone": "", "notes": ""}
 
 
 search_contacts = search_op("contacts", ("name",), LIST_FIELDS)
@@ -20,12 +22,7 @@ def view_current_user(ctx: ToolContext) -> str:
 
 
 def create_contact(ctx: ToolContext) -> str:
-    rid = ctx.store("contacts").add({
-        "name": ctx.args["name"],
-        "email": ctx.args.get("email", ""),
-        "phone": ctx.args.get("phone", ""),
-        "notes": ctx.args.get("notes", ""),
-    })
+    rid = ctx.store("contacts").add(new_record(CONTACT, ctx.args))
     return f"contact created as {rid}"
 
 
@@ -36,7 +33,7 @@ def start_edit_contact(ctx: ToolContext) -> str:
 # -- flat API; the Detail and Edit screens act through on_open -----------------
 
 get_contact = read_op("contacts", "contact_id", "contact")
-update_contact = update_op("contacts", "contact_id", ("name", "email", "phone", "notes"), "contact")
+update_contact = update_op("contacts", "contact_id", tuple(CONTACT), "contact")
 delete_contact = delete_op("contacts", "contact_id", "contact")
 view_contact = on_open(get_contact, "contact_id")
 

@@ -1,6 +1,8 @@
 """Email app: Mailbox, Detail, and Compose screens over a folder-keyed store.
 
-Compose holds a draft in the screen context (not the database) until
+An email has the shape `EMAIL`: folder, sender, recipients, cc, subject,
+body, attachments, timestamp and read. Compose holds a draft of the
+`DRAFT_SHAPE` fields in the screen context (not the database) until
 send/save/discard, each of which returns the user to wherever compose was
 entered from.
 """
@@ -12,46 +14,22 @@ import json
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    PAGING, append_draft, by_index, delete_op, draft, on_open, open_record, paginate, read_op,
-    render_records, require_record, search_op, set_draft,
+    PAGING, append_draft, by_index, delete_op, draft, new_record, on_open, open_record, paginate,
+    read_op, render_records, require_record, search_op, set_draft,
 )
 
 FOLDERS = ("inbox", "sent", "drafts", "archive", "trash")
 LIST_FIELDS = ("folder", "sender", "subject")
+EMAIL = {"folder": "inbox", "sender": "", "recipients": [], "cc": [], "subject": "", "body": "",
+         "attachments": [], "timestamp": "", "read": False}
+DRAFT_SHAPE = {name: EMAIL[name] for name in ("recipients", "cc", "subject", "body", "attachments")}
 
 
-def _fresh_draft() -> dict:
-    return {"recipients": [], "cc": [], "subject": "", "body": "", "attachments": []}
-
-
-def _send(store, clock, sender: str, recipients: list, subject: str, body: str,
-          cc: list | None = None, attachments: list | None = None) -> str:
-    rid = store.add({
-        "folder": "sent",
-        "sender": sender,
-        "recipients": list(recipients),
-        "cc": list(cc or []),
-        "subject": subject,
-        "body": body,
-        "attachments": list(attachments or []),
-        "timestamp": clock.render(),
-        "read": True,
-    })
-    return rid
-
-
-def _deliver(store, clock, sender: str, subject: str, body: str, folder: str = "inbox") -> str:
-    return store.add({
-        "folder": folder,
-        "sender": sender,
-        "recipients": ["user"],
-        "cc": [],
-        "subject": subject,
-        "body": body,
-        "attachments": [],
-        "timestamp": clock.render(),
-        "read": False,
-    })
+def _store_outgoing(ctx: ToolContext, folder: str, fields: dict) -> str:
+    """Store an email the user wrote in `folder`: from the user, read, stamped now."""
+    return ctx.store("emails").add(new_record(EMAIL, {
+        **fields, "folder": folder, "sender": ctx.current_user,
+        "timestamp": ctx.clock.render(), "read": True}))
 
 
 def _folder_emails(ctx: ToolContext) -> list[dict]:
@@ -95,7 +73,7 @@ def switch_folder(ctx: ToolContext) -> str:
 
 
 def start_compose(ctx: ToolContext) -> str:
-    ctx.session["draft"] = _fresh_draft()
+    ctx.session["draft"] = new_record(DRAFT_SHAPE, {})
     ctx.session["compose_return"] = "Mailbox"
     return "composing a new email"
 
@@ -104,16 +82,17 @@ def start_compose(ctx: ToolContext) -> str:
 
 def reply(ctx: ToolContext) -> str:
     email = open_record(ctx, "emails", "email")
-    rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
-                [email["sender"]], "Re: " + email["subject"], ctx.args["body"])
+    rid = _store_outgoing(ctx, "sent", {"recipients": [email["sender"]],
+                                        "subject": "Re: " + email["subject"],
+                                        "body": ctx.args["body"]})
     return f"reply sent as {rid}"
 
 
 def forward(ctx: ToolContext) -> str:
     email = open_record(ctx, "emails", "email")
     body = ctx.args.get("body", "") + "\n---- forwarded ----\n" + email["body"]
-    rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
-                ctx.args["recipients"], "Fwd: " + email["subject"], body)
+    rid = _store_outgoing(ctx, "sent", {"recipients": ctx.args["recipients"],
+                                        "subject": "Fwd: " + email["subject"], "body": body})
     return f"forwarded as {rid}"
 
 
@@ -124,10 +103,8 @@ def download_attachments(ctx: ToolContext) -> str:
 
 def start_compose_reply(ctx: ToolContext) -> str:
     email = open_record(ctx, "emails", "email")
-    reply_draft = _fresh_draft()
-    reply_draft["recipients"] = [email["sender"]]
-    reply_draft["subject"] = "Re: " + email["subject"]
-    ctx.session["draft"] = reply_draft
+    ctx.session["draft"] = new_record(DRAFT_SHAPE, {"recipients": [email["sender"]],
+                                                    "subject": "Re: " + email["subject"]})
     ctx.session["compose_return"] = "Detail"
     return "composing a reply to " + email["sender"]
 
@@ -152,26 +129,13 @@ def send_composed_email(ctx: ToolContext) -> str:
     current = draft(ctx)
     if not current["recipients"]:
         raise GuardFailed("draft has no recipients")
-    rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
-                current["recipients"], current["subject"], current["body"],
-                cc=current["cc"], attachments=current["attachments"])
+    rid = _store_outgoing(ctx, "sent", current)
     _compose_exit(ctx)
     return f"email sent as {rid}"
 
 
 def save_draft(ctx: ToolContext) -> str:
-    current = draft(ctx)
-    rid = ctx.store("emails").add({
-        "folder": "drafts",
-        "sender": ctx.current_user,
-        "recipients": current["recipients"],
-        "cc": current["cc"],
-        "subject": current["subject"],
-        "body": current["body"],
-        "attachments": current["attachments"],
-        "timestamp": ctx.clock.render(),
-        "read": True,
-    })
+    rid = _store_outgoing(ctx, "drafts", draft(ctx))
     _compose_exit(ctx)
     return f"draft saved as {rid}"
 
@@ -191,15 +155,13 @@ def api_list_emails(ctx: ToolContext) -> str:
 
 
 def api_send_email(ctx: ToolContext) -> str:
-    rid = _send(ctx.store("emails"), ctx.clock, ctx.current_user,
-                ctx.args["recipients"], ctx.args["subject"], ctx.args["body"],
-                cc=ctx.args.get("cc"))
+    rid = _store_outgoing(ctx, "sent", ctx.args)
     return f"email sent as {rid}"
 
 
 def api_deliver_email(ctx: ToolContext) -> str:
-    rid = _deliver(ctx.store("emails"), ctx.clock, ctx.args["sender"],
-                   ctx.args["subject"], ctx.args["body"], ctx.args.get("folder", "inbox"))
+    rid = ctx.store("emails").add(new_record(EMAIL, {
+        **ctx.args, "recipients": [ctx.current_user], "timestamp": ctx.clock.render()}))
     return f"email delivered as {rid}"
 
 

@@ -1,26 +1,23 @@
 """Note app: Folders, List, Detail, Edit. List is the root screen; Folders
-shows the folder index and drops back into List scoped to the chosen folder."""
+shows the folder index and drops back into List scoped to the chosen folder.
+
+A note has the shape `NOTE`: title, content, folder and attachments. The
+Edit screen's draft holds its `DRAFT_SHAPE` fields, title and content."""
 
 from __future__ import annotations
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    PAGING, delete_op, draft, list_op, on_open, open_op, open_record, paginate, read_op,
-    render_records, require_record, search_op, set_draft, update_op,
+    PAGING, delete_op, draft, list_op, new_record, on_open, open_op, open_record, paginate,
+    read_op, render_records, require_record, search_op, set_draft, update_op,
 )
 
 LIST_FIELDS = ("title", "folder")
 DEFAULT_FOLDER = "Notes"
 DRAFT = "note draft"
-
-
-def _fresh_draft() -> dict:
-    return {"title": "", "content": ""}
-
-
-def _create_note(store, title: str, content: str, folder: str = DEFAULT_FOLDER) -> str:
-    return store.add({"title": title, "content": content, "folder": folder, "attachments": []})
+NOTE = {"title": "", "content": "", "folder": DEFAULT_FOLDER, "attachments": []}
+DRAFT_SHAPE = {name: NOTE[name] for name in ("title", "content")}
 
 
 def list_notes(ctx: ToolContext) -> str:
@@ -35,7 +32,7 @@ open_note = open_op("notes", "note_id", "note")
 
 
 def new_note(ctx: ToolContext) -> str:
-    ctx.session["draft"] = _fresh_draft()
+    ctx.session["draft"] = new_record(DRAFT_SHAPE, {})
     ctx.session["editing_id"] = None
     return "creating a new note"
 
@@ -72,15 +69,15 @@ def remove_attachment(ctx: ToolContext) -> str:
 
 def edit_note(ctx: ToolContext) -> str:
     note = open_record(ctx, "notes", "note")
-    ctx.session["draft"] = {"title": note["title"], "content": note["content"]}
+    ctx.session["draft"] = new_record(DRAFT_SHAPE, {k: note[k] for k in DRAFT_SHAPE})
     ctx.session["editing_id"] = note["id"]
     return f"editing {note['id']}"
 
 
 def duplicate_note(ctx: ToolContext) -> str:
     note = open_record(ctx, "notes", "note")
-    rid = _create_note(ctx.store("notes"), note["title"] + " (copy)", note["content"],
-                       note["folder"])
+    rid = ctx.store("notes").add(new_record(NOTE, {
+        "title": note["title"] + " (copy)", "content": note["content"], "folder": note["folder"]}))
     return f"duplicated as {rid}"
 
 
@@ -100,13 +97,13 @@ def update_note(ctx: ToolContext) -> str:
     store = ctx.store("notes")
     if editing:
         require_record(store, editing, "note")
-        store.update(editing, title=current["title"], content=current["content"])
+        store.update(editing, **current)
         rid = editing
     else:
         if not current["title"]:
             raise GuardFailed("note draft needs a title")
-        rid = _create_note(store, current["title"], current["content"],
-                           ctx.session.get("folder", DEFAULT_FOLDER))
+        rid = store.add(new_record(NOTE, {
+            **current, "folder": ctx.session.get("folder", DEFAULT_FOLDER)}))
     ctx.session["draft"] = None
     ctx.session["editing_id"] = None
     ctx.session["open_id"] = rid
@@ -120,8 +117,7 @@ delete_note = delete_op("notes", "note_id", "note")
 
 
 def api_create_note(ctx: ToolContext) -> str:
-    rid = _create_note(ctx.store("notes"), ctx.args["title"], ctx.args["content"],
-                       ctx.args.get("folder", DEFAULT_FOLDER))
+    rid = ctx.store("notes").add(new_record(NOTE, ctx.args))
     return f"note created as {rid}"
 
 

@@ -1,27 +1,26 @@
 """Reminder app: List, Detail, Edit. Cancel returns to Detail when editing
-an existing reminder and to List when creating a new one."""
+an existing reminder and to List when creating a new one.
+
+A reminder has the shape `REMINDER`: title, description, due and repetition.
+The Edit screen's draft holds every field of it."""
 
 from __future__ import annotations
 
 from ..errors import GuardFailed
 from ..fsm import ApiTool, AppStateMachine, Param, ToolContext, ToolSpec, Transition
 from .common import (
-    delete_op, draft, list_op, on_open, open_op, open_record, render_records, require_record,
-    set_draft, update_op,
+    delete_op, draft, list_op, new_record, on_open, open_op, open_record, render_records,
+    require_record, set_draft, update_op,
 )
 
 LIST_FIELDS = ("title", "due", "repetition")
 DRAFT = "reminder draft"
-
-
-def _fresh_draft() -> dict:
-    return {"title": "", "description": "", "due": "", "repetition": "none"}
+REMINDER = {"title": "", "description": "", "due": "", "repetition": "none"}
 
 
 list_reminders = list_op("reminders", LIST_FIELDS)
 delete_reminder = delete_op("reminders", "reminder_id", "reminder")
-update_reminder = update_op("reminders", "reminder_id",
-                            ("title", "description", "due", "repetition"), "reminder")
+update_reminder = update_op("reminders", "reminder_id", tuple(REMINDER), "reminder")
 
 
 def list_upcoming_reminders(ctx: ToolContext) -> str:
@@ -40,14 +39,14 @@ open_reminder = open_op("reminders", "reminder_id", "reminder")
 
 
 def create_new(ctx: ToolContext) -> str:
-    ctx.session["draft"] = _fresh_draft()
+    ctx.session["draft"] = new_record(REMINDER, {})
     ctx.session["editing_id"] = None
     return "creating a new reminder"
 
 
 def edit(ctx: ToolContext) -> str:
     reminder = open_record(ctx, "reminders", "reminder")
-    ctx.session["draft"] = {k: reminder[k] for k in _fresh_draft()}
+    ctx.session["draft"] = new_record(REMINDER, {k: reminder[k] for k in REMINDER})
     ctx.session["editing_id"] = reminder["id"]
     return f"editing {reminder['id']}"
 
@@ -69,7 +68,7 @@ def save(ctx: ToolContext) -> str:
     else:
         if not current["title"]:
             raise GuardFailed("reminder draft needs a title")
-        rid = store.add(dict(current))
+        rid = store.add(new_record(REMINDER, current))
     ctx.session["draft"] = None
     ctx.session["editing_id"] = None
     ctx.session["open_id"] = rid
@@ -86,12 +85,7 @@ def cancel(ctx: ToolContext) -> str:
 
 
 def api_create_reminder(ctx: ToolContext) -> str:
-    rid = ctx.store("reminders").add({
-        "title": ctx.args["title"],
-        "description": ctx.args.get("description", ""),
-        "due": ctx.args.get("due", ""),
-        "repetition": ctx.args.get("repetition", "none"),
-    })
+    rid = ctx.store("reminders").add(new_record(REMINDER, ctx.args))
     return f"reminder created as {rid}"
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import llm as llm_mod
 from .errors import PhonesimError
 from .fsm import render_app_reference
-from .metrics import aggregate_report
+from .metrics import RECORD_KEYS, aggregate_report
 from .policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from .report import render_csv, render_json, render_table
 from .runner import evaluate_success, run_episode, run_oracle
@@ -205,12 +205,33 @@ def _run_oracle_mode(args, scenarios, out: Path) -> int:
     return status
 
 
+def _read_records(path: Path) -> list[dict]:
+    """The records of one records.jsonl. A line that is not JSON, or not a
+    record with every key the report reads, is one error naming the line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise PhonesimError(
+                    f"{path}:{number}: not JSON ({exc.msg} at column {exc.colno})") from None
+            if not isinstance(record, dict):
+                raise PhonesimError(f"{path}:{number}: a record must be a JSON object")
+            missing = [key for key in RECORD_KEYS if key not in record]
+            if missing:
+                raise PhonesimError(f"{path}:{number}: the record has no {', '.join(missing)}")
+            records.append(record)
+    return records
+
+
 def cmd_report(args) -> int:
     root = Path(args.records)
     records = []
     for path in sorted(root.rglob("records.jsonl")):
-        with open(path, encoding="utf-8") as fh:
-            records.extend(json.loads(line) for line in fh if line.strip())
+        records.extend(_read_records(path))
     if not records:
         print(f"no records found under {root}", file=sys.stderr)
         return 1

@@ -16,6 +16,9 @@ from .errors import NoProposals, UnevenRunCounts
 TERNARY_LABELS = ("accept", "reject", "gather_context", "truncated")
 RESOLUTIONS = ("accept", "reject", "truncated")
 GROUPING = ("model", "noise_rate", "failure_prob")
+# The keys `aggregate_report` reads from every record.
+RECORD_KEYS = ("scenario_id", "run_index", "success", "turns_used", "read_actions_total",
+               "read_actions_observe")
 
 _STATUS_LABEL = {"accepted": "accept", "rejected": "reject", "truncated": "truncated"}
 

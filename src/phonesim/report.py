@@ -7,6 +7,23 @@ import csv
 import io
 import json
 
+from .metrics import TERNARY_LABELS
+
+# One entry per report column: (table header, row key, stderr key, digits).
+# The table shows the value ± its stderr; the CSV has the row key, then the
+# stderr key. The outcome counts follow, one per TERNARY_LABELS entry.
+COLUMNS = (
+    ("runs", "runs", None, 0),
+    ("success", "success_rate", "success_rate_stderr", 3),
+    ("succ@k", "success_at_k", None, 3),
+    ("succ^k", "success_pow_k", None, 3),
+    ("prop_rate", "proposal_rate", "proposal_rate_stderr", 3),
+    ("accept_rate", "acceptance_rate", "acceptance_rate_stderr", 3),
+    ("reads(total)", "read_actions_mean", "read_actions_stderr", 1),
+    ("reads(observe)", "read_actions_observe_mean", None, 1),
+)
+CSV_KEYS = [key for _, value, stderr, _ in COLUMNS for key in (value, stderr) if key]
+
 
 def _fmt(value, stderr=None, digits=3) -> str:
     if value is None:
@@ -19,25 +36,14 @@ def _fmt(value, stderr=None, digits=3) -> str:
 
 def render_table(report: dict) -> str:
     grouping = report["grouping"]
-    headers = list(grouping) + [
-        "runs", "success", "succ@k", "succ^k", "prop_rate",
-        "accept_rate", "reads(total)", "reads(observe)",
-        "accept/reject/gather/trunc",
-    ]
+    headers = list(grouping) + [c[0] for c in COLUMNS] + ["accept/reject/gather/trunc"]
     rows = []
     for cell in report["cells"]:
         out = cell["outcomes"]["ternary"]
-        rows.append([str(cell["cell"].get(g)) for g in grouping] + [
-            str(cell["runs"]),
-            _fmt(cell["success_rate"], cell["success_rate_stderr"]),
-            _fmt(cell["success_at_k"]),
-            _fmt(cell["success_pow_k"]),
-            _fmt(cell["proposal_rate"], cell["proposal_rate_stderr"]),
-            _fmt(cell["acceptance_rate"], cell["acceptance_rate_stderr"]),
-            _fmt(cell["read_actions_mean"], cell["read_actions_stderr"], 1),
-            _fmt(cell["read_actions_observe_mean"], None, 1),
-            "/".join(str(out[k]) for k in ("accept", "reject", "gather_context", "truncated")),
-        ])
+        rows.append([str(cell["cell"].get(g)) for g in grouping]
+                    + [_fmt(cell[key], cell[stderr] if stderr else None, digits)
+                       for _, key, stderr, digits in COLUMNS]
+                    + ["/".join(str(out[k]) for k in TERNARY_LABELS)])
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)),
@@ -54,22 +60,9 @@ def render_csv(report: dict) -> str:
     grouping = report["grouping"]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(grouping + [
-        "runs", "success_rate", "success_rate_stderr", "success_at_k",
-        "success_pow_k", "proposal_rate", "proposal_rate_stderr",
-        "acceptance_rate", "acceptance_rate_stderr",
-        "read_actions_mean", "read_actions_stderr", "read_actions_observe_mean",
-        "accept", "reject", "gather_context", "truncated",
-    ])
+    writer.writerow(grouping + CSV_KEYS + list(TERNARY_LABELS))
     for cell in report["cells"]:
         out = cell["outcomes"]["ternary"]
-        writer.writerow([cell["cell"].get(g) for g in grouping] + [
-            cell["runs"], cell["success_rate"], cell["success_rate_stderr"],
-            cell["success_at_k"], cell["success_pow_k"],
-            cell["proposal_rate"], cell["proposal_rate_stderr"],
-            cell["acceptance_rate"], cell["acceptance_rate_stderr"],
-            cell["read_actions_mean"], cell["read_actions_stderr"],
-            cell["read_actions_observe_mean"],
-            out["accept"], out["reject"], out["gather_context"], out["truncated"],
-        ])
+        writer.writerow([cell["cell"].get(g) for g in grouping] + [cell[k] for k in CSV_KEYS]
+                        + [out[k] for k in TERNARY_LABELS])
     return buf.getvalue()

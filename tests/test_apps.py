@@ -19,7 +19,8 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonesim.apps import BUILDERS, build_app
+from phonesim.apps import BUILDERS, build_app, calendar_app
+from phonesim.apps.common import new_record
 from phonesim.database import plain_copy
 from phonesim.errors import ArgumentInvalid, GuardFailed, PhonesimError
 from phonesim.events import Event
@@ -268,6 +269,39 @@ def test_messaging_screen_send_rejects_attachments():
         world.invoke_user_tool("MessagingApp__send_message",
                                {"message": "photo", "attachments": ["a.jpg"]})
     assert world.db_digest() == before
+
+
+# -- one shape per store ------------------------------------------------------------
+
+def test_new_record_refuses_a_field_its_shape_does_not_declare():
+    with pytest.raises(ValueError, match="'colour'"):
+        new_record(calendar_app.EVENT, {"title": "t", "colour": "red"})
+
+
+def test_a_record_shares_no_list_with_its_args_its_draft_or_its_shape():
+    """Event arguments are shared by every world of a scenario, so a record
+    copies each list it is given, and each list default of its shape."""
+    world = _world("CalendarApp")
+    world.assistant_mode = "execute"
+    args = {"title": "api", "start": "2025-06-04 10:00", "end": "2025-06-04 11:00",
+            "attendees": ["Ana"]}
+    world.invoke_agent_tool("CalendarApp__add_event", args)
+    world.invoke_agent_tool("CalendarApp__add_event",
+                            {"title": "bare", "start": args["start"], "end": args["end"]})
+    world.invoke_user_tool("CalendarApp__start_create_event", {})
+    current = world.sessions["CalendarApp"]["draft"]
+    for tool, call in [("set_title", {"title": "screen"}),
+                       ("set_time_range", {"start": "2025-06-05 10:00", "end": "2025-06-05 11:00"}),
+                       ("add_attendee", {"attendee": "Bo"}), ("save", {})]:
+        world.invoke_user_tool(f"CalendarApp__{tool}", call)
+    store = world.db.store("CalendarApp", "events")
+    created = [r for r in store.all() if r["title"] in ("api", "bare", "screen")]
+    for record in created:
+        store.append(record["id"], "attendees", "Cy")
+    assert [r["attendees"] for r in created] == [["Ana", "Cy"], ["Cy"], ["Bo", "Cy"]]
+    assert args["attendees"] == ["Ana"]
+    assert current["attendees"] == ["Bo"]
+    assert calendar_app.EVENT["attendees"] == []
 
 
 # -- read-only tools never write ---------------------------------------------------

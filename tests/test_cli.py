@@ -259,6 +259,23 @@ def test_report_uneven_counts_exits_one(tmp_path, capsys):
     assert main(["report", "--records", str(out), "--runs", "2"]) == 1
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("{not json", "not JSON (Expecting property name enclosed in double quotes at column 2)"),
+    ('{"scenario_id": "a", "success": true}',
+     "the record has no run_index, turns_used, read_actions_total, read_actions_observe"),
+    ("[1, 2]", "a record must be a JSON object"),
+], ids=["not-json", "no-run-index", "not-an-object"])
+def test_report_refuses_a_bad_record_line_in_one_line(tmp_path, capsys, bad, message):
+    good = json.dumps({"scenario_id": "a", "run_index": 0, "success": True, "turns_used": 1,
+                       "read_actions_total": 0, "read_actions_observe": 0})
+    cell = tmp_path / "r" / "cell"
+    cell.mkdir(parents=True)
+    (cell / "records.jsonl").write_text(f"{good}\n\n{bad}\n", "utf-8")
+    assert main(["report", "--records", str(tmp_path / "r"), "--runs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {cell / 'records.jsonl'}:3: {message}\n"
+    assert sorted(p.name for p in cell.parent.rglob("*")) == ["cell", "records.jsonl"]
+
+
 def test_failing_event_aborts_only_its_own_episode(tmp_path):
     broken = tmp_path / "broken_move.yaml"
     broken.write_text(
@@ -399,13 +416,30 @@ def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_refuses_an_unknown_step_gate_before_writing(tmp_path, capsys):
-    script = tmp_path / "gated.yaml"
-    script.write_text("- {action: noop, when: bogus}\n", "utf-8")
+@pytest.mark.parametrize("text, message", [
+    ("- {action: noop, when: bogus}", "step 0 has the unknown gate 'bogus'"),
+    ("- {action: noop}\n- {action: SystemApp__open_app, action_imput: {app_name: EmailApp}}",
+     "step 1 has the unknown key 'action_imput'"),
+    ("steps: [{action: noop}]\nstep: []", "unknown top-level key 'step'"),
+    ("- {thought: no action}", "step 0 needs an 'action' that is a non-empty string"),
+    ("- {action: ''}", "step 0 needs an 'action' that is a non-empty string"),
+    ("- {action: [noop]}", "step 0 needs an 'action' that is a non-empty string"),
+    ("- {action: noop, action_input: [1]}", "step 0 has an 'action_input' that is not a mapping"),
+    ("- {action: noop, action_input: null}", "step 0 has an 'action_input' that is not a mapping"),
+    ("- {action: noop, thought: [a, b]}", "step 0 has a 'thought' that is not a string"),
+    ("- noop", "step 0 must be a mapping with an 'action'"),
+], ids=["unknown-gate", "misspelt-key", "top-level-key", "no-action", "empty-action",
+        "list-action", "list-input", "null-input", "list-thought", "bare-string"])
+def test_run_refuses_a_bad_script_before_writing(tmp_path, capsys, text, message):
+    """`load_script` names the script and the step, and `run` stops before
+    it writes anything; at run time such a step would be a parse error that
+    uses up the next step, or run with empty input."""
+    script = tmp_path / "bad.yaml"
+    script.write_text(text + "\n", "utf-8")
     err = _run_fails_with_one_line(capsys, ["--scenarios", str(SCENARIOS / "email_reply.yaml"),
                                             "--user-policy", f"scripted:{script}",
                                             "--noise-rate", "0,2", "--out", str(tmp_path / "out")])
-    assert "step 0 has the unknown gate 'bogus'" in err
+    assert err.startswith(f"error: {script}: {message}")
     assert not (tmp_path / "out").exists()
 
 
