@@ -18,11 +18,12 @@ from pathlib import Path
 from . import llm as llm_mod
 from .errors import PhonesimError
 from .fsm import render_app_reference
-from .metrics import RECORD_KEYS, aggregate_report
+from .metrics import RECORD, aggregate_report
 from .policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from .report import render_csv, render_json, render_table
 from .runner import evaluate_success, run_episode, run_oracle
 from .scenario import Scenario, load_scenario
+from .shapes import check
 from .stochastic import StochasticConfig, run_seed
 
 
@@ -207,7 +208,7 @@ def _run_oracle_mode(args, scenarios, out: Path) -> int:
 
 def _read_records(path: Path) -> list[dict]:
     """The records of one records.jsonl. A line that is not JSON, or not a
-    record with every key the report reads, is one error naming the line."""
+    record of the `RECORD` shape, is one error naming the line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -218,12 +219,7 @@ def _read_records(path: Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise PhonesimError(
                     f"{path}:{number}: not JSON ({exc.msg} at column {exc.colno})") from None
-            if not isinstance(record, dict):
-                raise PhonesimError(f"{path}:{number}: a record must be a JSON object")
-            missing = [key for key in RECORD_KEYS if key not in record]
-            if missing:
-                raise PhonesimError(f"{path}:{number}: the record has no {', '.join(missing)}")
-            records.append(record)
+            records.append(check(record, RECORD, f"{path}:{number}: record"))
     return records
 
 

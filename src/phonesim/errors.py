@@ -79,8 +79,10 @@ class ScenarioParseError(PhonesimError):
     pass
 
 
-class SchemaError(PhonesimError):
-    """Scenario file failed static validation; message carries field diagnostics."""
+class SchemaError(ScenarioParseError):
+    """An input file (a scenario, a policy script, an LLM config or a run
+    record) does not have the shape the program reads, or fails a check made
+    when it loads; the message names the file or record and the key."""
 
 
 class SeedDataInvalid(PhonesimError):

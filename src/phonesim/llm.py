@@ -8,13 +8,15 @@ in that config and is never accepted on the command line.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import EndpointUnavailable, RetriesExhausted, ScenarioParseError
+from .errors import EndpointUnavailable, RetriesExhausted, SchemaError
 from .interfaces import AgentView, UserView
+from .shapes import REQUIRED, check
 from .yamlfile import read_yaml
 
 
@@ -28,17 +30,24 @@ class LLMConfig:
     timeout: float = 60.0
     retries: int = 3            # attempts in all, the first one included
 
-    def __post_init__(self):
-        if type(self.retries) is not int or self.retries < 1:
-            raise ValueError(f"retries must be an integer of at least 1, got {self.retries!r}")
+
+LLM_CONFIG = {
+    "base_url": ("str", REQUIRED),
+    "model": ("str", REQUIRED),
+    "api_key_env": ("str", LLMConfig.api_key_env),
+    "temperature": ("float", LLMConfig.temperature),
+    "max_output": ("count", LLMConfig.max_output),
+    "timeout": ("float", LLMConfig.timeout),
+    "retries": ("count", LLMConfig.retries),
+}
 
 
 def load_llm_config(path) -> LLMConfig:
-    data = read_yaml(path)
-    try:
-        return LLMConfig(**data)
-    except (TypeError, ValueError) as exc:   # not a mapping, a bad, unknown or missing key
-        raise ScenarioParseError(f"{path}: not an LLM config: {exc}") from exc
+    config = LLMConfig(**check(read_yaml(path), LLM_CONFIG, str(path)))
+    if not 0 < config.timeout < math.inf:     # a socket takes no other timeout
+        raise SchemaError(
+            f"{path}.timeout: expected a finite number of seconds above 0, got {config.timeout!r}")
+    return config
 
 
 class LLMClient:

@@ -12,15 +12,24 @@ import math
 from collections import defaultdict
 
 from .errors import NoProposals, UnevenRunCounts
+from .shapes import REQUIRED
 
 TERNARY_LABELS = ("accept", "reject", "gather_context", "truncated")
 RESOLUTIONS = ("accept", "reject", "truncated")
 GROUPING = ("model", "noise_rate", "failure_prob")
-# The keys `aggregate_report` reads from every record.
-RECORD_KEYS = ("scenario_id", "run_index", "success", "turns_used", "read_actions_total",
-               "read_actions_observe")
-
 _STATUS_LABEL = {"accepted": "accept", "rejected": "reject", "truncated": "truncated"}
+# A run record as `run_episode` and `phonesim run` write it. The keys the
+# report reads are required; the others default to what the report reads
+# when they are absent.
+PROPOSAL = {"turn": ("int", None), "status": (tuple(_STATUS_LABEL), REQUIRED),
+            "user_actions_while_pending": ("int", 0)}
+RECORD = {
+    "scenario_id": ("str", REQUIRED), "run_index": ("int", REQUIRED), "seed": ("int", None),
+    "noise_rate": ("float", None), "failure_prob": ("float", None), "model": ("str", None),
+    "success": ("bool", REQUIRED), "goals": ("dict", {}), "proposals": ([PROPOSAL], []),
+    "read_actions_observe": ("int", REQUIRED), "read_actions_total": ("int", REQUIRED),
+    "turns_used": ("int", REQUIRED), "aborted_reason": ("str", None),
+}
 
 
 def classify_proposal(proposal: dict) -> tuple[str, str | None]:

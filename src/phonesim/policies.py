@@ -11,14 +11,17 @@ from __future__ import annotations
 import functools
 from typing import Protocol
 
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, SchemaError
 from .react import format_step
+from .shapes import REQUIRED, check
 from .yamlfile import read_yaml
 
 WAIT_ACTION = "AgentUserInterface__wait"
 NOOP_ACTION = "noop"
 GATES = ("proposal_pending", "mode:observe", "mode:execute")
-STEP_KEYS = ("action", "action_input", "thought", "when")
+STEP = {"action": ("str", REQUIRED), "action_input": ("dict", {}), "thought": ("str", ""),
+        "when": (GATES, None)}
+SCRIPT = {"steps": ([STEP], REQUIRED)}
 
 
 class Policy(Protocol):
@@ -93,39 +96,13 @@ class ScriptedPolicy:
         return text
 
 
-def _step_error(step) -> str | None:
-    """What is wrong with one script step, or None."""
-    if not isinstance(step, dict):
-        return "must be a mapping with an 'action'"
-    unknown = [key for key in step if key not in STEP_KEYS]
-    if unknown:
-        return f"has the unknown key {unknown[0]!r}; a step takes {', '.join(STEP_KEYS)}"
-    if not isinstance(step.get("action"), str) or not step["action"]:
-        return "needs an 'action' that is a non-empty string"
-    if not isinstance(step.get("action_input", {}), dict):
-        return "has an 'action_input' that is not a mapping"
-    if not isinstance(step.get("thought", ""), str):
-        return "has a 'thought' that is not a string"
-    if "when" in step and step["when"] not in GATES:
-        return f"has the unknown gate {step['when']!r}; use one of {GATES}"
-    return None
-
-
 def load_script(path) -> list[dict]:
     """The steps of a script file: a list of steps, or a mapping whose only
     key is `steps:`. A malformed step is refused here, naming its index, so
     that `run` fails before it writes anything."""
     data = read_yaml(path)
-    if isinstance(data, dict):
-        unknown = [key for key in data if key != "steps"]
-        if unknown:
-            raise ScenarioParseError(
-                f"{path}: unknown top-level key {unknown[0]!r}; a script holds only 'steps'")
-        data = data.get("steps")
-    if not isinstance(data, list):
-        raise ScenarioParseError(f"{path}: expected a list of steps (or {{steps: [...]}})")
-    for i, step in enumerate(data):
-        error = _step_error(step)
-        if error:
-            raise ScenarioParseError(f"{path}: step {i} {error}")
-    return data
+    steps = check({"steps": data} if isinstance(data, list) else data, SCRIPT, str(path))["steps"]
+    for i, step in enumerate(steps):
+        if not step["action"]:
+            raise SchemaError(f"{path}.steps[{i}].action: expected a non-empty str")
+    return steps

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .apps import BUILDERS, build_app
+from .clock import TIME_FORMAT, parse_start_time
 from .errors import ArgumentInvalid, SchemaError
 from .events import Event
 from .fsm import AppStateMachine
+from .shapes import REQUIRED, check
 from .yamlfile import read_yaml
 
 SCHEMA_VERSION = 1
@@ -32,16 +34,42 @@ OPS = {
 }
 CHECKS = ("count", "all", "any", "none")
 ACTORS = ("user", "assistant", "environment", "any")
-# The keys each mapping may hold; the parser refuses any other.
-TOP_KEYS = {"schema_version", "id", "title", "apps", "start_time", "max_turns", "tick_seconds",
-            "user_goal", "assistant_instructions", "init", "events", "validation"}
-EVENT_KEYS = {"id", "kind", "at", "after", "app", "tool", "args", "notify"}
-AFTER_KEYS = {"anchor", "offset"}
-ACTION_KEYS = {"kind", "goal", "tool", "actor", "args_subset", "count_at_least"}
-CRITERION_KEYS = {
-    "db_predicate": {"kind", "goal", "app", "store", "where", "check", "field", "op", "value"},
-    "action_required": ACTION_KEYS,
-    "action_forbidden": ACTION_KEYS,
+# The shape of each mapping a scenario holds; the parser refuses any other key.
+EVENT = {
+    "id": ("str", REQUIRED),
+    "kind": (SCRIPT_KINDS, REQUIRED),
+    "at": ("float", None),
+    "after": ({"anchor": ("str", REQUIRED), "offset": ("float", 0)}, None),
+    "app": ("str", ""),
+    "tool": ("str", ""),
+    "args": ("dict", {}),
+    "notify": (("both", "user", "assistant", "none"), "both"),
+}
+CRITERION_KIND = (("db_predicate", "action_required", "action_forbidden"), REQUIRED)
+ACTION = {"kind": CRITERION_KIND, "goal": ("str", "main"), "tool": ("str", REQUIRED),
+          "actor": (ACTORS, "any"), "args_subset": ("dict", {}),
+          "count_at_least": ("count", 1)}
+CRITERIA = {
+    "db_predicate": {"kind": CRITERION_KIND, "goal": ("str", "main"),
+                     "app": ("str", REQUIRED), "store": ("str", REQUIRED),
+                     "where": ("dict", {}), "check": (CHECKS, "count"), "field": ("str", ""),
+                     "op": (tuple(OPS), "=="), "value": ("any", REQUIRED)},
+    "action_required": ACTION,
+    "action_forbidden": ACTION,
+}
+SCENARIO = {
+    "schema_version": ("int", REQUIRED),
+    "id": ("str", REQUIRED),
+    "title": ("str", ""),
+    "apps": ([tuple(sorted(BUILDERS))], REQUIRED),
+    "start_time": ("str", REQUIRED),
+    "max_turns": ("count", 10),
+    "tick_seconds": ("count", 60),
+    "user_goal": ("str", ""),
+    "assistant_instructions": ("str", ""),
+    "init": ("dict", {}),
+    "events": ([EVENT], []),
+    "validation": ("list", []),    # each criterion is checked by its kind's shape
 }
 
 
@@ -97,170 +125,82 @@ class Scenario:
         return seen
 
 
-def _get(data: dict, key: str, kind, where: str, default=...):
-    """`data[key]` if it is a `kind`; a missing key is an error unless it has a default."""
-    if key not in data:
-        if default is ...:
-            raise SchemaError(f"{where}: missing required field {key!r}")
-        return default
-    value = data[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _only(data: dict, keys: set, where: str) -> None:
-    """Refuse any key that the parser does not read, such as a misspelt one."""
-    unknown = [key for key in data if key not in keys]
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {unknown}; allowed: {sorted(keys)}")
-
-
-def _count(data: dict, key: str, default: int, where: str) -> int:
-    """An optional whole number of at least 1, such as `max_turns`."""
-    value = data.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SchemaError(f"{where}.{key}: expected an integer of at least 1, got {value!r}")
-    return value
-
-
-def _seconds(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaError(f"{where}: expected seconds as a number")
-    return float(value)
-
-
-def _parse_event(data: dict, where: str, times: dict[str, float]) -> Event:
+def _parse_event(event: dict, where: str, times: dict[str, float]) -> Event:
     """`times` maps each earlier event id to its firing time; an `after`
     schedule is resolved against it here, once."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a mapping")
-    _only(data, EVENT_KEYS, where)
-    event_id = _get(data, "id", str, where)
-    if event_id in times:
-        raise SchemaError(f"{where}.id: duplicate event id {event_id!r}")
-    kind = _get(data, "kind", str, where)
-    if kind not in SCRIPT_KINDS:
-        raise SchemaError(
-            f"{where}.kind: {kind!r} not one of {SCRIPT_KINDS} "
-            f"(noise is generated, not scripted)")
-    if ("at" in data) == ("after" in data):
+    if event["id"] in times:
+        raise SchemaError(f"{where}.id: duplicate event id {event['id']!r}")
+    if (event["at"] is None) == (event["after"] is None):
         raise SchemaError(f"{where}: give exactly one of 'at' or 'after'")
-    if "at" in data:
-        at = _seconds(data["at"], f"{where}.at")
+    if event["after"] is None:
+        at = float(event["at"])
     else:
-        after = _get(data, "after", dict, where)
-        _only(after, AFTER_KEYS, f"{where}.after")
-        anchor = _get(after, "anchor", str, f"{where}.after")
+        anchor = event["after"]["anchor"]
         if anchor not in times:
             raise SchemaError(
                 f"{where}.after.anchor: {anchor!r} must name an earlier event")
-        offset = _seconds(after.get("offset", 0), f"{where}.after.offset")
+        offset = float(event["after"]["offset"])
         if offset < 0:
             raise SchemaError(
                 f"{where}.after.offset: {offset:g} would fire before anchor {anchor!r}")
         at = times[anchor] + offset
-    app = data.get("app", "")
-    tool = data.get("tool", "")
-    if kind != "completion" and not (app and tool):
+    if event["kind"] != "completion" and not (event["app"] and event["tool"]):
         raise SchemaError(f"{where}: non-completion events need 'app' and 'tool'")
-    notify = data.get("notify", "both")
-    if notify not in ("both", "user", "assistant", "none"):
-        raise SchemaError(f"{where}.notify: {notify!r} invalid")
-    return Event(id=event_id, kind=kind, at=at, app=app, tool=tool,
-                 args=_get(data, "args", dict, where, {}), notify=notify)
+    return Event(id=event["id"], kind=event["kind"], at=at, app=event["app"],
+                 tool=event["tool"], args=event["args"], notify=event["notify"])
 
 
-def _parse_criterion(data: dict, where: str) -> Criterion:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a mapping")
-    kind = _get(data, "kind", str, where)
-    if kind not in CRITERION_KEYS:
-        raise SchemaError(f"{where}.kind: unknown criterion kind {kind!r}")
-    _only(data, CRITERION_KEYS[kind], where)
-    goal = _get(data, "goal", str, where, "main")
-    if kind == "db_predicate":
-        check = data.get("check", "count")
-        if check not in CHECKS:
-            raise SchemaError(f"{where}.check: {check!r} not one of {CHECKS}")
-        op = _get(data, "op", str, where, "==")
-        if op not in OPS:
-            raise SchemaError(f"{where}.op: {op!r} not one of {sorted(OPS)}")
-        field_name = _get(data, "field", str, where, "")
-        if check != "count" and not field_name:
-            raise SchemaError(f"{where}: check {check!r} needs a 'field'")
-        value = _get(data, "value", object, where)
-        if check == "count" and (op == "contains" or type(value) not in (int, float)):
-            raise SchemaError(f"{where}: check 'count' compares the number of matches with a "
-                              f"number, not with {op!r} {value!r}")
-        match = _get(data, "where", dict, where, {})
-        if not all(isinstance(key, str) for key in match):
-            raise SchemaError(f"{where}.where: field names must be strings, got {list(match)}")
-        return Criterion(
-            kind=kind, goal=goal,
-            app=_get(data, "app", str, where),
-            store=_get(data, "store", str, where),
-            where=match,
-            check=check, field_name=field_name, op=op, value=value,
-        )
-    actor = data.get("actor", "any")
-    if actor not in ACTORS:
-        raise SchemaError(f"{where}.actor: {actor!r} not one of {ACTORS}")
-    return Criterion(
-        kind=kind, goal=goal,
-        tool=_get(data, "tool", str, where),
-        actor=actor,
-        args_subset=_get(data, "args_subset", dict, where, {}),
-        count_at_least=_count(data, "count_at_least", 1, where),
-    )
+def _parse_criterion(data, where: str) -> Criterion:
+    kind = data.get("kind") if isinstance(data, dict) else None
+    known = isinstance(kind, str) and kind in CRITERIA
+    # An unknown or missing kind is refused by a shape that holds the kind alone.
+    c = check(data, CRITERIA[kind] if known else {"kind": CRITERION_KIND}, where)
+    if kind != "db_predicate":
+        return Criterion(**c)
+    if c["check"] != "count" and not c["field"]:
+        raise SchemaError(f"{where}: check {c['check']!r} needs a 'field'")
+    if c["check"] == "count" and (c["op"] == "contains" or type(c["value"]) not in (int, float)):
+        raise SchemaError(f"{where}: check 'count' compares the number of matches with a "
+                          f"number, not with {c['op']!r} {c['value']!r}")
+    if not all(isinstance(key, str) for key in c["where"]):
+        raise SchemaError(f"{where}.where: field names must be strings, got {list(c['where'])}")
+    return Criterion(field_name=c.pop("field"), **c)
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{source}: document must be a mapping")
-    if "stochastic" in data:
+    if isinstance(data, dict) and "stochastic" in data:
         raise SchemaError(
             f"{source}.stochastic: a scenario sets no noise, failures or seed; "
             f"give them to phonesim run as --noise-rate, --failure-prob and --seed")
-    _only(data, TOP_KEYS, source)
-    version = data.get("schema_version")
+    doc = check(data, SCENARIO, source)
+    version = doc.pop("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{source}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    try:
+        parse_start_time(doc["start_time"])
+    except ValueError:
+        raise SchemaError(f"{source}.start_time: expected a time as {TIME_FORMAT!r}, "
+                          f"got {doc['start_time']!r}") from None
 
-    apps = _get(data, "apps", list, source)
+    apps = doc["apps"]
     for i, app in enumerate(apps):
-        if app not in BUILDERS:
-            raise SchemaError(
-                f"{source}.apps[{i}]: unknown app {app!r}; known: {sorted(BUILDERS)}")
         if app in apps[:i]:
             raise SchemaError(f"{source}.apps[{i}]: app {app!r} is listed twice")
 
     times: dict[str, float] = {}
     events = []
-    for i, item in enumerate(_get(data, "events", list, source, [])):
+    for i, item in enumerate(doc["events"]):
         event = _parse_event(item, f"{source}.events[{i}]", times)
         times[event.id] = event.at
         events.append(event)
 
     validation = [_parse_criterion(item, f"{source}.validation[{i}]")
-                  for i, item in enumerate(_get(data, "validation", list, source, []))]
+                  for i, item in enumerate(doc["validation"])]
     if not validation:
         raise SchemaError(f"{source}.validation: at least one criterion is required")
 
-    scenario = Scenario(
-        id=_get(data, "id", str, source),
-        title=_get(data, "title", str, source, ""),
-        apps=list(apps),
-        start_time=_get(data, "start_time", str, source),
-        events=events,
-        validation=validation,
-        init=_get(data, "init", dict, source, {}),
-        user_goal=_get(data, "user_goal", str, source, ""),
-        assistant_instructions=_get(data, "assistant_instructions", str, source, ""),
-        max_turns=_count(data, "max_turns", 10, source),
-        tick_seconds=_count(data, "tick_seconds", 60, source),
-        machines={app: build_app(app) for app in apps},
-    )
+    scenario = Scenario(**dict(doc, events=events, validation=validation),
+                        machines={app: build_app(app) for app in apps})
     _check_payloads(scenario, source)
     _check_init(scenario, source)
     _check_criteria(scenario, source)

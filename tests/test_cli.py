@@ -14,8 +14,11 @@ import yaml
 import phonesim.cli
 import phonesim.llm
 from phonesim.cli import build_parser, main
+from phonesim.metrics import RECORD
 from phonesim.policies import WAIT_ACTION, load_script
 from phonesim.react import format_step
+from phonesim.scenario import load_scenario
+from phonesim.shapes import check
 from test_scenario import base_doc
 
 DATA = Path(str(resources.files("phonesim").joinpath("data")))
@@ -112,6 +115,49 @@ def test_pack_run_output_is_frozen(tmp_path, monkeypatch, jobs):
             digest.update(path.relative_to(out).as_posix().encode("utf-8") + b"\0")
             digest.update(path.read_bytes())
     assert digest.hexdigest() == PACK_RUN_SHA256
+
+
+def test_no_shape_is_stricter_than_what_the_program_writes_or_ships(tmp_path, monkeypatch):
+    """Every record of the pack sweep passes the record shape unchanged; every
+    input file each benchmark workload generates loads, with the LLM config
+    that `bench/run.py` writes; and every bundled scenario and script loads."""
+    monkeypatch.chdir(DATA)
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", "scenarios",
+                 "--user-policy", "scripted:scripts/apartment_user.yaml",
+                 "--assistant-policy", "scripted:scripts/apartment_assistant.yaml",
+                 "--runs", "2", "--seed", "5", "--noise-rate", "0,2",
+                 "--failure-prob", "0,0.1", "--out", str(out)]) == 0
+    lines = [line for path in sorted(out.rglob("records.jsonl"))
+             for line in path.read_text("utf-8").splitlines()]
+    assert len(lines) == 48
+    for number, line in enumerate(lines, 1):
+        record = json.loads(line)
+        checked = check(record, RECORD, f"record {number}")
+        assert {key: checked[key] for key in record} == record
+
+    monkeypatch.chdir(README.parent)
+    monkeypatch.syspath_prepend(str(README.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+    from workloads import WORKLOADS
+    for name, make in WORKLOADS.items():
+        inputs = tmp_path / name
+        inputs.mkdir()
+        workload = make(inputs, 1)
+        if workload.llm_config:        # the text bench/run.py writes
+            workload.llm_config.write_text("base_url: http://127.0.0.1:9/v1\n"
+                                           "model: fake-apartment\ntimeout: 30\nretries: 1\n",
+                                           "utf-8")
+        args = build_parser().parse_args(workload.run_argv + ["--out", str(tmp_path / "x")])
+        for path in phonesim.cli._collect_scenarios(args.scenarios):
+            load_scenario(path)
+        phonesim.cli._policy(args.user_policy, "user")
+        phonesim.cli._policy(args.assistant_policy, "assistant")
+
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        load_scenario(path)
+    for path in sorted(SCRIPTS.glob("*.yaml")):
+        load_script(path)
 
 
 def test_runs_of_one_scenario_do_not_share_init(tmp_path):
@@ -259,12 +305,27 @@ def test_report_uneven_counts_exits_one(tmp_path, capsys):
     assert main(["report", "--records", str(out), "--runs", "2"]) == 1
 
 
+# A record with every key the program writes; the rows below break one.
+FULL_RECORD = json.dumps({
+    "scenario_id": "a", "run_index": 0, "seed": 0, "noise_rate": 0.0, "failure_prob": 0.0,
+    "model": "noop", "success": True, "goals": {"main": True}, "proposals": [],
+    "read_actions_observe": 0, "read_actions_total": 0, "turns_used": 1})
+
+
 @pytest.mark.parametrize("bad, message", [
     ("{not json", "not JSON (Expecting property name enclosed in double quotes at column 2)"),
-    ('{"scenario_id": "a", "success": true}',
-     "the record has no run_index, turns_used, read_actions_total, read_actions_observe"),
-    ("[1, 2]", "a record must be a JSON object"),
-], ids=["not-json", "no-run-index", "not-an-object"])
+    ('{"scenario_id": "a", "success": true}', "record: missing required field 'run_index'"),
+    ("[1, 2]", "record: expected dict, got list"),
+    (FULL_RECORD.replace('"proposals": []', '"proposals": [{"turn": 1}]'),
+     "record.proposals[0]: missing required field 'status'"),
+    (FULL_RECORD.replace('"proposals": []', '"proposals": {"status": "accepted"}'),
+     "record.proposals: expected list, got dict"),
+    (FULL_RECORD.replace('"turns_used": 1', '"turns_used": "3"'),
+     "record.turns_used: expected int, got str"),
+    (FULL_RECORD.replace('"proposals": []', '"proposals": [{"turn": 1, "status": "pending"}]'),
+     "record.proposals[0].status: 'pending' not one of ('accepted', 'rejected', 'truncated')"),
+], ids=["not-json", "no-run-index", "not-an-object", "proposal-without-status",
+        "proposals-not-a-list", "text-turns", "unknown-status"])
 def test_report_refuses_a_bad_record_line_in_one_line(tmp_path, capsys, bad, message):
     good = json.dumps({"scenario_id": "a", "run_index": 0, "success": True, "turns_used": 1,
                        "read_actions_total": 0, "read_actions_observe": 0})
@@ -406,9 +467,18 @@ def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
     broken.write_text("steps: [unclosed\n", "utf-8")
     not_config = tmp_path / "not_config.yaml"
     not_config.write_text("model: m\ncolour: blue\n", "utf-8")
+    # LLM configs with one field of the wrong type or out of range.
+    bad_fields = []
+    for key, value in (("base_url", 5), ("api_key_env", 5), ("timeout", "soon"),
+                       ("timeout", -1), ("timeout", float("inf")), ("model", ["m"]),
+                       ("temperature", "hot")):
+        bad_fields.append(tmp_path / f"bad_{len(bad_fields)}.yaml")
+        bad_fields[-1].write_text(yaml.safe_dump(
+            {"base_url": "http://127.0.0.1:9/v1", "model": "m", "retries": 1, key: value}), "utf-8")
     scenario = str(SCENARIOS / "email_reply.yaml")
     for spec in (f"scripted:{tmp_path / 'missing.yaml'}", f"scripted:{broken}",
-                 f"llm:{tmp_path / 'missing.yaml'}", f"llm:{broken}", f"llm:{not_config}"):
+                 f"llm:{tmp_path / 'missing.yaml'}", f"llm:{broken}", f"llm:{not_config}",
+                 *(f"llm:{path}" for path in bad_fields)):
         side = "--assistant-policy" if spec.startswith("llm:") else "--user-policy"
         err = _run_fails_with_one_line(capsys, ["--scenarios", scenario, side, spec,
                                                 "--out", str(tmp_path / "out")])
@@ -417,17 +487,18 @@ def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("- {action: noop, when: bogus}", "step 0 has the unknown gate 'bogus'"),
+    ("- {action: noop, when: bogus}", ".steps[0].when: 'bogus' not one of ('proposal_pending', "),
     ("- {action: noop}\n- {action: SystemApp__open_app, action_imput: {app_name: EmailApp}}",
-     "step 1 has the unknown key 'action_imput'"),
-    ("steps: [{action: noop}]\nstep: []", "unknown top-level key 'step'"),
-    ("- {thought: no action}", "step 0 needs an 'action' that is a non-empty string"),
-    ("- {action: ''}", "step 0 needs an 'action' that is a non-empty string"),
-    ("- {action: [noop]}", "step 0 needs an 'action' that is a non-empty string"),
-    ("- {action: noop, action_input: [1]}", "step 0 has an 'action_input' that is not a mapping"),
-    ("- {action: noop, action_input: null}", "step 0 has an 'action_input' that is not a mapping"),
-    ("- {action: noop, thought: [a, b]}", "step 0 has a 'thought' that is not a string"),
-    ("- noop", "step 0 must be a mapping with an 'action'"),
+     ".steps[1]: unknown keys ['action_imput']; allowed: ['action', 'action_input', "),
+    ("steps: [{action: noop}]\nstep: []", ": unknown keys ['step']; allowed: ['steps']"),
+    ("- {thought: no action}", ".steps[0]: missing required field 'action'"),
+    ("- {action: ''}", ".steps[0].action: expected a non-empty str"),
+    ("- {action: [noop]}", ".steps[0].action: expected str, got list"),
+    ("- {action: noop, action_input: [1]}", ".steps[0].action_input: expected dict, got list"),
+    ("- {action: noop, action_input: null}",
+     ".steps[0].action_input: expected dict, got NoneType"),
+    ("- {action: noop, thought: [a, b]}", ".steps[0].thought: expected str, got list"),
+    ("- noop", ".steps[0]: expected dict, got str"),
 ], ids=["unknown-gate", "misspelt-key", "top-level-key", "no-action", "empty-action",
         "list-action", "list-input", "null-input", "list-thought", "bare-string"])
 def test_run_refuses_a_bad_script_before_writing(tmp_path, capsys, text, message):
@@ -439,7 +510,7 @@ def test_run_refuses_a_bad_script_before_writing(tmp_path, capsys, text, message
     err = _run_fails_with_one_line(capsys, ["--scenarios", str(SCENARIOS / "email_reply.yaml"),
                                             "--user-policy", f"scripted:{script}",
                                             "--noise-rate", "0,2", "--out", str(tmp_path / "out")])
-    assert err.startswith(f"error: {script}: {message}")
+    assert err.startswith(f"error: {script}{message}")
     assert not (tmp_path / "out").exists()
 
 

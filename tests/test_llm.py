@@ -252,4 +252,5 @@ def test_load_llm_config_refuses_retries_below_one_attempt(tmp_path, retries):
     with pytest.raises(ScenarioParseError) as exc:
         load_llm_config(path)
     message = str(exc.value)
-    assert "retries must be an integer of at least 1" in message and "\n" not in message
+    assert message.startswith(f"{path}.retries: expected an integer of at least 1, got ")
+    assert "\n" not in message

@@ -98,7 +98,7 @@ BAD_FIELDS = [
     ("predicate", "goal", ["a"], r"<scenario>\.validation\[0\]\.goal: expected str"),
     ("predicate", "where", 5, r"<scenario>\.validation\[0\]\.where: expected dict"),
     ("predicate", "where", {1: "x"}, r"<scenario>\.validation\[0\]\.where: field names"),
-    ("predicate", "op", ["=="], r"<scenario>\.validation\[0\]\.op: expected str"),
+    ("predicate", "op", ["=="], r"<scenario>\.validation\[0\]\.op: \['=='\] not one of"),
     ("predicate", "field", ["f"], r"<scenario>\.validation\[0\]\.field: expected str"),
     ("predicate", "value", "1", r"<scenario>\.validation\[0\]: check 'count' compares"),
     ("predicate", "op", "contains", r"<scenario>\.validation\[0\]: check 'count' compares"),
@@ -107,7 +107,14 @@ BAD_FIELDS = [
     ("action", "count_at_least", True, r"<scenario>\.validation\[1\]\.count_at_least: "),
     ("action", "count_atleast", 2,
      r"<scenario>\.validation\[1\]: unknown keys \['count_atleast'\]"),
-    ("action", "kind", "action_wanted", r"<scenario>\.validation\[1\]\.kind: unknown"),
+    ("action", "kind", "action_wanted",
+     r"<scenario>\.validation\[1\]\.kind: 'action_wanted' not one of"),
+    ("action", "kind", ["action_required"],
+     r"<scenario>\.validation\[1\]\.kind: \['action_required'\] not one of"),
+    ("top", "start_time", "garbage", r"<scenario>\.start_time: expected a time as '%Y-%m-%d %H'"),
+    ("top", "apps", [["EmailApp"]], r"<scenario>\.apps\[0\]: \['EmailApp'\] not one of"),
+    ("event", "tool", ["deliver_email"], r"<scenario>\.events\[0\]\.tool: expected str"),
+    ("event", "at", True, r"<scenario>\.events\[0\]\.at: expected float, got bool"),
 ]
 
 
