@@ -110,10 +110,12 @@ add_attendee = append_draft("attendees", "attendee", "attendee added", DRAFT)
 
 
 def remove_attendee(ctx: ToolContext) -> str:
-    attendees = draft(ctx, DRAFT)["attendees"]
+    current = draft(ctx, DRAFT)
+    attendees = list(current["attendees"])     # may be a stored record's list
     if ctx.args["attendee"] not in attendees:
         raise GuardFailed(f"{ctx.args['attendee']!r} is not an attendee")
     attendees.remove(ctx.args["attendee"])
+    current["attendees"] = attendees
     return "attendee removed"
 
 

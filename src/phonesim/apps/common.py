@@ -43,17 +43,14 @@ def render_records(records: list[dict], fields: tuple[str, ...]) -> str:
 
 
 def new_record(shape: dict, fields: dict) -> dict:
-    """A record of `shape`: `fields` laid over the shape's defaults, with
-    each list copied, so that the record shares no list with the shape or
-    with `fields` (event arguments are shared by every world of a
-    scenario). A field the shape does not declare is a programming error."""
+    """A record of `shape`: `fields` laid over the shape's defaults. It may
+    share lists with the shape and with `fields` (event arguments are shared
+    by every world of a scenario): no list is changed in place, so none is
+    copied. A field the shape does not declare is a programming error."""
     record = shape | fields
     if len(record) != len(shape):
         raise ValueError(f"fields {sorted(fields.keys() - shape.keys())} are not in the shape "
                          f"{list(shape)}")
-    for name, value in record.items():
-        if type(value) is list:
-            record[name] = value.copy()
     return record
 
 
@@ -166,20 +163,20 @@ def draft(ctx: ToolContext, what: str = "draft") -> dict:
 
 
 def set_draft(fields: tuple[str, ...], done: str, what: str = "draft") -> Handler:
-    """Set each of `fields` in the draft from the argument of that name; a
-    list argument is copied."""
+    """Set each of `fields` in the draft from the argument of that name, as
+    it is: a handler reads the world's copy of the caller's arguments."""
     def op(ctx: ToolContext) -> str:
         current = draft(ctx, what)
         for name in fields:
-            value = ctx.args[name]
-            current[name] = list(value) if isinstance(value, list) else value
+            current[name] = ctx.args[name]
         return done
     return op
 
 
 def append_draft(field: str, arg: str, done: str, what: str = "draft") -> Handler:
-    """Append the argument `arg` to the draft's list `field`."""
+    """Set the draft's list `field` to a new one: the old plus the argument `arg`."""
     def op(ctx: ToolContext) -> str:
-        draft(ctx, what)[field].append(ctx.args[arg])
+        current = draft(ctx, what)
+        current[field] = current[field] + [ctx.args[arg]]
         return done
     return op

@@ -14,9 +14,9 @@ LIST_FIELDS = ("title", "participants")
 
 
 def _append_message(store, conversation_id: str, sender: str, content: str, timestamp: str) -> None:
-    require_record(store, conversation_id, "conversation")
-    store.append(conversation_id, "messages",
-                 {"sender": sender, "content": content, "timestamp": timestamp})
+    conv = require_record(store, conversation_id, "conversation")
+    store.update(conversation_id, messages=conv["messages"] + [
+        {"sender": sender, "content": content, "timestamp": timestamp}])
 
 
 def search_conversations(ctx: ToolContext) -> str:

@@ -52,8 +52,8 @@ def list_attachments(ctx: ToolContext) -> str:
 
 
 def add_attachment(ctx: ToolContext) -> str:
-    ctx.store("notes").append(open_record(ctx, "notes", "note")["id"], "attachments",
-                              ctx.args["filename"])
+    note = open_record(ctx, "notes", "note")
+    ctx.store("notes").update(note["id"], attachments=note["attachments"] + [ctx.args["filename"]])
     return "attachment added"
 
 

@@ -2,9 +2,9 @@
 and aggregate reports.
 
 Exit codes: 0 success; 1 input, validation or metric error; 2 aborted runs
-present (a failing event or a criterion that cannot be scored aborts only
-its own episode), or a usage error that argparse reports before anything
-runs.
+present (a failing event, a failing policy call or a criterion that cannot
+be scored aborts only its own episode), or a usage error that argparse
+reports before anything runs.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The shared world database: one keyed store per (app, collection).
 
 Records are plain JSON-serializable dicts, so dumps and digests are
-byte-exact. Records change only through a store's four writes: `add`,
-`remove`, `update(rid, **fields)` and `append(rid, field, item)`. A read
-(`get`, `all`, `find`) returns the stored dicts themselves; callers read
-them and never change them in place.
+byte-exact. Records change only through a store's three writes: `add`,
+`remove` and `update(rid, **fields)`. A read (`get`, `all`, `find`) returns
+the stored dicts themselves, which callers never change in place. A list
+field is replaced (`update(rid, tags=old + [item])`), never changed in
+place, so a record may share its lists with a scenario, a draft or a log.
 
 Records are listed in record order: by the key `(len(id), id)`. Ids of one
 length list in string order, and ids from `Store.next_id` in numeric order,
@@ -19,7 +20,7 @@ missing field as ""), joined by `SEP`. A store keeps that text per field
 tuple and record, and fills it when a search first reads the record, so a
 search lowercases only the records written since the last one. Every write
 drops the text of the record it touches: `_put` (an add, and a rolled-back
-remove), `remove`, `update`, `append` and each record `rollback` touches.
+remove), `remove`, `update` and each record `rollback` touches.
 A query holding `SEP` could match across two fields' text, so it is matched
 field by field instead.
 
@@ -27,8 +28,8 @@ A write that fails is rolled back through a per-call undo journal.
 `WorldDatabase.copy_app` opens a journal on each store of the app: an empty
 list. While it is open, each write appends its own inverse and nothing
 else: the added id; the removed record object; the old values of the fields
-an update sets, with `ABSENT` for a field the record lacked; the length of
-the list before an append. Reads save nothing, and nothing is copied.
+an update sets, with `ABSENT` for a field the record lacked. So a journal
+holds three kinds of entry. Reads save nothing, and nothing is copied.
 `restore_app` replays the journal newest first and puts the id counters
 back, and `close_app` drops the journal; outside an open journal a write
 pays one `is None` test.
@@ -86,8 +87,8 @@ def plain_copy(value):
 
 
 # Journal entries, one per write: (ADD, rid), (REMOVE, rid, record),
-# (UPDATE, rid, {field: old value or ABSENT}), (APPEND, rid, field, length).
-ADD, REMOVE, UPDATE, APPEND = "add", "remove", "update", "append"
+# (UPDATE, rid, {field: old value or ABSENT}).
+ADD, REMOVE, UPDATE = "add", "remove", "update"
 ABSENT = object()          # marks an updated field that the record lacked
 
 
@@ -146,14 +147,6 @@ class Store:
         record.update(fields)
         return record
 
-    def append(self, record_id: str, field: str, item) -> None:
-        """Append `item` to the record's list `field`."""
-        items = self.records[record_id][field]
-        self._drop_text(record_id)
-        if self.undo is not None:
-            self.undo.append((APPEND, record_id, field, len(items)))
-        items.append(item)
-
     def get(self, record_id: str) -> dict | None:
         return self.records.get(record_id)
 
@@ -208,16 +201,13 @@ class Store:
                 del self.records[rid]
             elif kind == REMOVE:
                 self._put(rid, inverse[0])
-            elif kind == UPDATE:
+            else:
                 record = self.records[rid]
                 for name, value in inverse[0].items():
                     if value is ABSENT:
                         del record[name]
                     else:
                         record[name] = value
-            else:
-                field, length = inverse
-                del self.records[rid][field][length:]
         self.undo = []
 
     def __len__(self) -> int:

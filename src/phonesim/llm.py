@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import dataclass
 from importlib import resources
+from urllib.parse import urlsplit
 
 from .errors import EndpointUnavailable, RetriesExhausted, SchemaError
 from .interfaces import AgentView, UserView
@@ -44,6 +45,14 @@ LLM_CONFIG = {
 
 def load_llm_config(path) -> LLMConfig:
     config = LLMConfig(**check(read_yaml(path), LLM_CONFIG, str(path)))
+    try:
+        url = urlsplit(config.base_url)
+        url.port             # raises on a port that is not a number from 0 to 65535
+    except ValueError:       # that, or an unclosed [IPv6 address
+        url = None
+    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        raise SchemaError(f"{path}.base_url: expected an http:// or https:// URL with a host, "
+                          f"got {config.base_url!r}")
     if not 0 < config.timeout < math.inf:     # a socket takes no other timeout
         raise SchemaError(
             f"{path}.timeout: expected a finite number of seconds above 0, got {config.timeout!r}")

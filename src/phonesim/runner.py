@@ -3,7 +3,6 @@ and single-episode execution producing a run record."""
 
 from __future__ import annotations
 
-from .database import plain_copy
 from .errors import OracleExecutionError, PhonesimError
 from .events import sample_noise_events
 from .scenario import OPS, Criterion, Scenario
@@ -31,8 +30,7 @@ def build_world(scenario: Scenario, mode: str = "policy",
         for store_name, records in stores.items():
             store = world.db.store(app_id, store_name)
             for record in records:
-                # A copy: worlds built from one scenario share its init.
-                rid = store.add(plain_copy(record))
+                rid = store.add(record)   # worlds share all but the top level
                 suffix = rid[len(store.prefix):]
                 if rid.startswith(store.prefix) and suffix.isdigit():
                     store.counter = max(store.counter, int(suffix))

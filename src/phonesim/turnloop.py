@@ -22,6 +22,12 @@ EXECUTE_STEPS = 10     # assistant steps per turn while executing a task
 RETRY_LIMIT = 2        # re-asks of a policy whose reply does not parse
 
 
+class _PolicyFailed(Exception):
+    """A policy's `act` raised a `PhonesimError` (an `llm:` endpoint that is
+    down, say). Like a failing event, it ends the episode with no further
+    phase, and the episode is scored with an `aborted_reason`."""
+
+
 class Episode:
     def __init__(self, world: World, user_policy: Policy, assistant_policy: Policy,
                  max_turns: int = 10):
@@ -53,12 +59,16 @@ class Episode:
         except PhonesimError as exc:
             self._finish(f"bad event payload: {exc}")
             return
-        self._user_phase()
-        if world.assistant_mode == "observe":
-            self._assistant_phase("observe", OBSERVE_STEPS)
-        elif world.assistant_mode == "execute":
-            self._assistant_phase("execute", EXECUTE_STEPS)
-        # awaiting_confirmation: the assistant holds still until the user decides
+        try:
+            self._user_phase()
+            if world.assistant_mode == "observe":
+                self._assistant_phase("observe", OBSERVE_STEPS)
+            elif world.assistant_mode == "execute":
+                self._assistant_phase("execute", EXECUTE_STEPS)
+            # awaiting_confirmation: the assistant holds still until the user decides
+        except _PolicyFailed as exc:
+            self._finish(str(exc))
+            return
         if world.completed or world.turn >= self.max_turns:
             self._finish()
 
@@ -136,7 +146,10 @@ class Episode:
     def _policy_step(self, policy: Policy, view, feedback: str | None,
                      actor: str) -> Step | None:
         for attempt in range(RETRY_LIMIT + 1):
-            raw = policy.act(view, feedback)
+            try:
+                raw = policy.act(view, feedback)
+            except PhonesimError as exc:
+                raise _PolicyFailed(f"{actor} policy failed: {exc}") from exc
             try:
                 return parse_step(raw)
             except MalformedAction as exc:

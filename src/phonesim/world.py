@@ -218,7 +218,7 @@ class World:
         return specs
 
     def invoke_user_tool(self, qualified: str, args: dict | None = None) -> str:
-        args = dict(args or {})
+        args = plain_copy(args or {})       # the handler's and the log's, not the caller's
         app_id, _, tool_name = qualified.partition("__")
         if not tool_name:
             raise ToolNotAvailableInState(
@@ -227,11 +227,10 @@ class World:
         if app_id == AGENT_UI and tool_name in RESPONSE_TOOLS:
             decision = "accepted" if tool_name == "accept_proposal" else "rejected"
             outcome = self._respond_to_proposal(decision)
-        elif app_id == SYSTEM_APP:
-            outcome = self._system_tool(tool_name, args)
-            self.proposals.note_user_action()
         else:
-            outcome = self._user_fsm_tool(app_id, tool_name, args)
+            outcome = (self._system_tool(tool_name, args) if app_id == SYSTEM_APP
+                       else self._user_fsm_tool(app_id, tool_name, args))
+            self._log_tool("user", qualified, args, mode=None, outcome=outcome)
             self.proposals.note_user_action()
         self.notifications.notify_user_action(
             serialize_user_action(qualified, args, outcome))
@@ -239,10 +238,7 @@ class World:
 
     def _system_tool(self, tool_name: str, args: dict) -> str:
         if tool_name == "current_time":
-            outcome = f"current time: {self.clock.render()}"
-            self._log_tool("user", f"{SYSTEM_APP}__current_time", plain_copy(args), mode=None,
-                           outcome=outcome)
-            return outcome
+            return f"current time: {self.clock.render()}"
         if tool_name not in NAV_TOOLS:
             raise ToolNotAvailableInState(f"{SYSTEM_APP} has no tool {tool_name!r}")
         NAV_TOOLS[tool_name].validate_args(args)
@@ -253,14 +249,10 @@ class World:
         navigate(self.nav, tool_name, target)
         if tool_name == "open_app":
             self.sessions[target] = self.apps[target].fresh_session()
-            outcome = f"opened {target} at {self.sessions[target]['state']}"
-        elif tool_name == "go_home":
-            outcome = "returned to the home screen"
-        else:
-            outcome = f"switched to {target} at {self.sessions[target]['state']}"
-        self._log_tool("user", f"{SYSTEM_APP}__{tool_name}", plain_copy(args), mode=None,
-                       outcome=outcome)
-        return outcome
+            return f"opened {target} at {self.sessions[target]['state']}"
+        if tool_name == "go_home":
+            return "returned to the home screen"
+        return f"switched to {target} at {self.sessions[target]['state']}"
 
     def _user_fsm_tool(self, app_id: str, tool_name: str, args: dict) -> str:
         machine = self.apps.get(app_id)
@@ -283,8 +275,6 @@ class World:
                           session=session, args=args)
         outcome = self._guarded(transition.tool, transition.handler, ctx)
         session["state"] = ctx.next_state or transition.default_target() or session["state"]
-        self._log_tool("user", f"{app_id}__{tool_name}", plain_copy(args), mode=None,
-                       outcome=outcome)
         return outcome
 
     def _guarded(self, tool: ToolSpec, handler, ctx: ToolContext) -> str:
@@ -355,7 +345,7 @@ class World:
         return specs
 
     def invoke_agent_tool(self, qualified: str, args: dict | None = None) -> str:
-        args = dict(args or {})
+        args = plain_copy(args or {})       # the handler's and the log's, not the caller's
         if qualified == f"{SYSTEM_APP}__current_time":
             return f"current time: {self.clock.render()}"
         app_id, _, tool_name = qualified.partition("__")
@@ -384,7 +374,7 @@ class World:
             self.read_actions_total += 1
             if mode == "observe":
                 self.read_actions_observe += 1
-        self._log_tool("assistant", qualified, plain_copy(args), mode=mode, outcome=outcome)
+        self._log_tool("assistant", qualified, args, mode=mode, outcome=outcome)
         return outcome
 
     def _interface_action(self, tool_name: str, args: dict) -> str:
@@ -441,9 +431,9 @@ class World:
 
     def _log_tool(self, actor: str, qualified: str, args: dict,
                   mode: str | None, outcome: str) -> None:
-        """Log a tool application with `args` as they are: user and assistant
-        callers pass a copy of theirs, and events their frozen, shared
-        payload (`checkpoint` copies the log)."""
+        """Log a tool application with `args` as they are: for user and
+        assistant calls the copy `invoke_*_tool` made on entry, for events
+        their frozen, shared payload (`checkpoint` copies the log)."""
         self.tool_log.append({
             "turn": self.turn,
             "sim_time": self.clock.now,

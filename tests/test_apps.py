@@ -278,9 +278,11 @@ def test_new_record_refuses_a_field_its_shape_does_not_declare():
         new_record(calendar_app.EVENT, {"title": "t", "colour": "red"})
 
 
-def test_a_record_shares_no_list_with_its_args_its_draft_or_its_shape():
-    """Event arguments are shared by every world of a scenario, so a record
-    copies each list it is given, and each list default of its shape."""
+def test_appending_to_a_record_list_changes_no_args_draft_or_shape():
+    """A record may share its lists with the arguments it was built from,
+    with the draft it was saved from and with its shape's defaults. A store
+    changes a list only by replacing it, so an append to a record's list
+    changes none of those."""
     world = _world("CalendarApp")
     world.assistant_mode = "execute"
     args = {"title": "api", "start": "2025-06-04 10:00", "end": "2025-06-04 11:00",
@@ -297,11 +299,24 @@ def test_a_record_shares_no_list_with_its_args_its_draft_or_its_shape():
     store = world.db.store("CalendarApp", "events")
     created = [r for r in store.all() if r["title"] in ("api", "bare", "screen")]
     for record in created:
-        store.append(record["id"], "attendees", "Cy")
+        store.update(record["id"], attendees=record["attendees"] + ["Cy"])
     assert [r["attendees"] for r in created] == [["Ana", "Cy"], ["Cy"], ["Bo", "Cy"]]
     assert args["attendees"] == ["Ana"]
     assert current["attendees"] == ["Bo"]
     assert calendar_app.EVENT["attendees"] == []
+
+
+def test_a_discarded_edit_draft_leaves_the_record_it_started_from():
+    """An edit draft starts out sharing the stored record's lists, so adding
+    and removing attendees on it, then discarding it, changes no record."""
+    world = _world("CalendarApp")
+    before = plain_copy(world.db.dump())
+    world.invoke_user_tool("CalendarApp__open_event", {"event_id": "CE001"})
+    for tool, call in [("edit_event", {}), ("remove_attendee", {"attendee": "Ana"}),
+                       ("add_attendee", {"attendee": "Bo"}), ("discard", {})]:
+        world.invoke_user_tool(f"CalendarApp__{tool}", call)
+    assert world.db.store("CalendarApp", "events").get("CE001")["attendees"] == ["Ana"]
+    assert world.db.dump() == before
 
 
 # -- read-only tools never write ---------------------------------------------------

@@ -162,7 +162,8 @@ def test_no_shape_is_stricter_than_what_the_program_writes_or_ships(tmp_path, mo
 
 def test_runs_of_one_scenario_do_not_share_init(tmp_path):
     """Every run starts from the scenario's own init, so each sees one
-    incoming message, on one thread or two."""
+    incoming message, on one thread, on two, and on eight that switch every
+    microsecond: the worlds share the init's lists, and none changes them."""
     scenario = tmp_path / "shared_init.yaml"
     scenario.write_text(
         "schema_version: 1\nid: shared_init\napps: [MessagingApp]\n"
@@ -180,14 +181,20 @@ def test_runs_of_one_scenario_do_not_share_init(tmp_path):
         "             {sender: ana, content: again, timestamp: '2025-01-01 08:01'}]}\n",
         "utf-8")
     outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--scenarios", str(scenario), "--runs", "4",
-                     "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append((out / "cell_noise0_fail0" / "records.jsonl").read_bytes())
-    assert outs[0] == outs[1]
+    interval = sys.getswitchinterval()
+    try:
+        for jobs in ("1", "2", "8"):
+            if jobs == "8":
+                sys.setswitchinterval(1e-6)
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--scenarios", str(scenario), "--runs", "16",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            outs.append((out / "cell_noise0_fail0" / "records.jsonl").read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs[0] == outs[1] == outs[2]
     records = [json.loads(line) for line in outs[0].decode().splitlines()]
-    assert len(records) == 4 and all(r["success"] for r in records)
+    assert len(records) == 16 and all(r["success"] for r in records)
 
 
 def test_run_reads_each_script_once_per_scenario(tmp_path, monkeypatch):
@@ -469,9 +476,9 @@ def test_run_reports_missing_or_broken_policy_files(tmp_path, capsys):
     not_config.write_text("model: m\ncolour: blue\n", "utf-8")
     # LLM configs with one field of the wrong type or out of range.
     bad_fields = []
-    for key, value in (("base_url", 5), ("api_key_env", 5), ("timeout", "soon"),
-                       ("timeout", -1), ("timeout", float("inf")), ("model", ["m"]),
-                       ("temperature", "hot")):
+    for key, value in (("base_url", 5), ("base_url", "http//x"), ("api_key_env", 5),
+                       ("timeout", "soon"), ("timeout", -1), ("timeout", float("inf")),
+                       ("model", ["m"]), ("temperature", "hot")):
         bad_fields.append(tmp_path / f"bad_{len(bad_fields)}.yaml")
         bad_fields[-1].write_text(yaml.safe_dump(
             {"base_url": "http://127.0.0.1:9/v1", "model": "m", "retries": 1, key: value}), "utf-8")

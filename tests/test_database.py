@@ -95,7 +95,7 @@ def test_copy_restore_app_rolls_back_writes():
     db.create_store("EmailApp", "emails", "E")
     db.store("EmailApp", "emails").add({"subject": "keep", "labels": []})
     saved = db.copy_app("EmailApp")
-    db.store("EmailApp", "emails").append("E001", "labels", "edited")
+    db.store("EmailApp", "emails").update("E001", labels=["edited"])
     db.store("EmailApp", "emails").update("E001", subject="edited", folder="x")
     db.store("EmailApp", "emails").add({"subject": "discard"})
     db.restore_app("EmailApp", saved)
@@ -157,8 +157,9 @@ def test_rolled_back_remove_puts_the_record_back_in_its_place():
 # next_id); ("remove", k) removes the k-th record; ("update", k, field,
 # value) sets a field of the k-th record, `odd`, which every record has, or
 # `extra`, which a record lacks until an update sets it; ("append", k, item)
-# appends to the k-th record's `tags`; ("rollback", steps) runs the steps
-# under a journal and rolls them back.
+# sets the k-th record's `tags` to a new list, the old one plus `item`, as the
+# apps append; ("rollback", steps) runs the steps under a journal and rolls
+# them back.
 _ADD = st.tuples(st.just("add"), st.none() | st.from_regex(r"E[0-9]{1,4}", fullmatch=True))
 _REMOVE = st.tuples(st.just("remove"), st.integers(0, 2000))
 _UPDATE = st.tuples(st.just("update"), st.integers(0, 2000), st.sampled_from(("odd", "extra")),
@@ -193,7 +194,7 @@ def _step(db, step):
         elif step[0] == "update":
             store.update(rid, **{step[2]: step[3]})
         else:
-            store.append(rid, "tags", step[2])
+            store.update(rid, tags=store.records[rid]["tags"] + [step[2]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,7 +286,7 @@ def _search_write(store, step):
         elif step[0] == "update":
             store.update(rid, **{step[2]: step[3]})
         else:
-            store.append(rid, "tags", step[2])
+            store.update(rid, tags=store.records[rid]["tags"] + [step[2]])
 
 
 def _naive_search(store, fields, query):

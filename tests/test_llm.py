@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import phonesim
 import phonesim.llm
 from phonesim.apps import BUILDERS, build_app
 from phonesim.cli import main
@@ -229,20 +230,88 @@ def test_the_request_goes_through_the_environments_proxy(endpoint):
     assert endpoint["paths"] == ["http://127.0.0.2:9/v1/chat/completions"]
 
 
+SCENARIOS = Path(str(resources.files("phonesim").joinpath("data/scenarios")))
+
+
+def records_under(out):
+    return [json.loads(line) for path in sorted(out.rglob("records.jsonl"))
+            for line in path.read_text("utf-8").splitlines()]
+
+
 @pytest.mark.parametrize("statuses,message", [
     ([b"not json"], "unexpected response shape: not json"),
     ([503], "endpoint kept failing (HTTP 503: "),
 ])
-def test_run_ends_with_one_error_line_when_the_endpoint_fails(
+def test_run_aborts_the_episode_when_the_endpoint_fails(
         endpoint, slept, tmp_path, capsys, statuses, message):
+    """A failing policy call ends its own episode, which is scored and
+    written as aborted; the run exits 2 with nothing on stderr."""
     endpoint["statuses"] = list(statuses)
     config = tmp_path / "llm.yaml"
     config.write_text(f"base_url: {endpoint['url']}\nmodel: m\nretries: 1\n", "utf-8")
-    scenario = Path(str(resources.files("phonesim").joinpath("data/scenarios/email_reply.yaml")))
-    assert main(["run", "--scenarios", str(scenario), "--assistant-policy", f"llm:{config}",
-                 "--runs", "1", "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                 "--assistant-policy", f"llm:{config}", "--runs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    [record] = records_under(out)
+    assert record["aborted_reason"].startswith(f"assistant policy failed: {message}")
+    assert record["turns_used"] == 1 and record["success"] is False
+    assert endpoint["requests"] == 1
+
+
+def test_a_dead_endpoint_aborts_every_episode_and_the_run_still_reports(tmp_path):
+    """Nothing listens on the discard port. Every episode of a two-thread
+    sweep aborts on its first assistant call, every record is written, and
+    `report` reads them."""
+    config = tmp_path / "llm.yaml"
+    config.write_text("base_url: http://127.0.0.1:9\nmodel: m\nretries: 1\ntimeout: 1\n",
+                      "utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                 str(SCENARIOS / "apartment_budget.yaml"), "--assistant-policy", f"llm:{config}",
+                 "--runs", "2", "--jobs", "2", "--out", str(out)]) == 2
+    records = records_under(out)
+    assert [(r["scenario_id"], r["run_index"]) for r in records] == [
+        ("apartment_budget", 0), ("apartment_budget", 1), ("email_reply", 0), ("email_reply", 1)]
+    for record in records:
+        assert record["aborted_reason"].startswith(
+            "assistant policy failed: cannot reach http://127.0.0.1:9/chat/completions: ")
+        assert record["turns_used"] == 1
+    assert main(["report", "--records", str(out), "--runs", "2"]) == 0
+    report = json.loads((out / "report.json").read_text("utf-8"))
+    assert [(cell["cell"]["model"], cell["success_rate"]) for cell in report["cells"]] == [
+        ("m", 0.0)]
+
+
+def chat_reply(action, action_input=None):
+    """A raw 200 body whose reply text is one step."""
+    text = phonesim.format_step(action, action_input, thought="next")
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+
+
+def test_an_llm_user_policy_plays_the_scenario_through_its_prompt(endpoint, tmp_path):
+    """`--user-policy llm:` prompts with the scenario's goal and each screen's
+    actions, and feeds the last action's result back."""
+    endpoint["statuses"] = [chat_reply("SystemApp__open_app", {"app_name": "EmailApp"}),
+                            chat_reply("EmailApp__list_emails")]
+    config = tmp_path / "llm.yaml"
+    config.write_text(f"base_url: {endpoint['url']}\nmodel: m\nretries: 1\n", "utf-8")
+    out = tmp_path / "out"
+    scenario = phonesim.load_scenario(SCENARIOS / "email_reply.yaml")
+    assert main(["run", "--scenarios", str(SCENARIOS / "email_reply.yaml"),
+                 "--user-policy", f"llm:{config}", "--max-turns", "2", "--out", str(out)]) == 0
+    first, second = (body["messages"] for body in endpoint["bodies"])
+    system = first[0]
+    assert system["role"] == "system" and system["content"] == second[0]["content"]
+    assert scenario.user_goal.strip() in system["content"] and "{{" not in system["content"]
+    assert first[1]["role"] == "user"
+    assert "Available actions:\n  - SystemApp__open_app(app_name): " in first[1]["content"]
+    assert "Result of your last action:" not in first[1]["content"]
+    assert second[2]["role"] == "assistant"
+    assert second[3]["content"].endswith("Result of your last action: opened EmailApp at Mailbox")
+    assert "  - EmailApp__list_emails(offset, limit): " in second[3]["content"]
+    [record] = records_under(out)
+    assert record["turns_used"] == 2 and "aborted_reason" not in record
 
 
 @pytest.mark.parametrize("retries", ["0", "-1", "1.5", "true", "'2'"])
@@ -254,3 +323,22 @@ def test_load_llm_config_refuses_retries_below_one_attempt(tmp_path, retries):
     message = str(exc.value)
     assert message.startswith(f"{path}.retries: expected an integer of at least 1, got ")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("base_url", ["", "http//x", "ftp://h/v1", "http://:9/v1", "http://[::1",
+                                      "http://h:99999/v1"])
+def test_load_llm_config_refuses_a_base_url_that_is_not_an_http_url(tmp_path, base_url):
+    path = tmp_path / "llm.yaml"
+    path.write_text(f"base_url: '{base_url}'\nmodel: m\n", "utf-8")
+    with pytest.raises(ScenarioParseError) as exc:
+        load_llm_config(path)
+    assert str(exc.value) == (f"{path}.base_url: expected an http:// or https:// URL with a "
+                              f"host, got {base_url!r}")
+
+
+@pytest.mark.parametrize("base_url", ["http://127.0.0.1:9", "https://api.example.com/v1/",
+                                      "http://[::1]:8000/v1"])
+def test_load_llm_config_takes_an_http_url_with_a_host(tmp_path, base_url):
+    path = tmp_path / "llm.yaml"
+    path.write_text(f"base_url: '{base_url}'\nmodel: m\n", "utf-8")
+    assert load_llm_config(path).base_url == base_url

@@ -80,8 +80,9 @@ def _doc_with(part, key, value):
     doc = base_doc()
     doc["events"].append({"id": "done", "kind": "completion", "after": {"anchor": "e1"}})
     doc["validation"].append({"kind": "action_forbidden", "tool": "EmailApp__delete_email"})
-    target = {"top": doc, "event": doc["events"][0], "after": doc["events"][1]["after"],
-              "predicate": doc["validation"][0], "action": doc["validation"][1]}[part]
+    target = {"top": doc, "event": doc["events"][0], "completion": doc["events"][1],
+              "after": doc["events"][1]["after"], "predicate": doc["validation"][0],
+              "action": doc["validation"][1]}[part]
     target[key] = value
     return doc
 
@@ -115,6 +116,22 @@ BAD_FIELDS = [
     ("top", "apps", [["EmailApp"]], r"<scenario>\.apps\[0\]: \['EmailApp'\] not one of"),
     ("event", "tool", ["deliver_email"], r"<scenario>\.events\[0\]\.tool: expected str"),
     ("event", "at", True, r"<scenario>\.events\[0\]\.at: expected float, got bool"),
+    ("completion", "id", "e1", r"<scenario>\.events\[1\]\.id: duplicate event id 'e1'"),
+    ("completion", "kind", "environment",
+     r"<scenario>\.events\[1\]: non-completion events need 'app' and 'tool'"),
+    ("predicate", "check", "all", r"<scenario>\.validation\[0\]: check 'all' needs a 'field'"),
+    ("event", "app", "MessagingApp",
+     r"<scenario>: event 'e1' targets app 'MessagingApp' not in the scenario's app list"),
+    ("top", "init", {"MessagingApp": {}},
+     r"<scenario>\.init: app 'MessagingApp' not in the scenario's app list"),
+    ("top", "init", {"EmailApp": [1]},
+     r"<scenario>\.init\.EmailApp: expected a mapping of store -> records"),
+    ("top", "init", {"EmailApp": {"mails": []}},
+     r"<scenario>\.init\.EmailApp: unknown store 'mails'; declared: \['emails'\]"),
+    ("top", "init", {"EmailApp": {"emails": {}}},
+     r"<scenario>\.init\.EmailApp\.emails: expected a list of records"),
+    ("top", "init", {"EmailApp": {"emails": ["x"]}},
+     r"<scenario>\.init\.EmailApp\.emails\[0\]: expected a record mapping"),
 ]
 
 

@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import phonesim.apps.messaging
+import phonesim.cli
 import phonesim.database
 import phonesim.world
-from phonesim.apps import build_app
+from phonesim.apps import build_app, calendar_app, contacts, note, reminder
+from phonesim.apps import email as email_app
+from phonesim.cli import main
 from phonesim.database import Store, WorldDatabase, canonical_json, digest
 from phonesim.errors import (
     ArgumentInvalid,
@@ -26,7 +29,7 @@ from phonesim.fsm import ToolContext, ToolSpec, render_app_reference
 from phonesim.interfaces import render_event_notification
 from phonesim.policies import NOOP_ACTION, WAIT_ACTION, NoopPolicy, ScriptedPolicy, load_script
 from phonesim.runner import build_world, run_oracle
-from phonesim.scenario import load_scenario, parse_scenario
+from phonesim.scenario import Scenario, load_scenario, parse_scenario
 from phonesim.stochastic import StochasticConfig
 from phonesim.turnloop import Episode
 from phonesim.world import FAILURE_OBSERVATION, World
@@ -132,13 +135,14 @@ def _journals(world):
 
 def _write_every_route(ctx):
     """Change records through each store write: remove, update (of a field
-    the record has and of one it lacks), append and add."""
+    the record has, of one it lacks, and of a list, with a new list as the
+    apps append) and add."""
     emails = ctx.store("emails")
     emails.remove("E003")
     emails.update("E001", read=True)
-    emails.append("E002", "recipients", "eve")
+    emails.update("E002", recipients=emails.get("E002")["recipients"] + ["eve"])
     emails.update("E004", subject="edited", label="new")     # no `label` before
-    emails.append("E005", "cc", "carol")
+    emails.update("E005", cc=emails.get("E005")["cc"] + ["carol"])
     emails.add(_email(9))
 
 
@@ -245,15 +249,31 @@ def test_screen_tool_logs_only_the_arguments_the_user_gave():
 
 
 def test_logged_arguments_share_no_container_with_the_callers():
+    """The world copies a caller's arguments once, on entry. A caller who
+    edits them after the call changes neither the stored record nor the log,
+    on the assistant's API or on the user's screens."""
     world = make_world("EmailApp")
+    emails = world.db.store("EmailApp", "emails")
     args = {"recipients": ["a@b.c"], "subject": "s", "body": "b"}
     world.assistant_mode = "execute"
     world.invoke_agent_tool("EmailApp__send_email", args)
-    logged = world.tool_log[-1]["args"]
+    logged, sent = world.tool_log[-1]["args"], emails.all()[-1]
     assert logged == args
     assert logged is not args and logged["recipients"] is not args["recipients"]
     args["recipients"].append("x@y.z")
-    assert logged["recipients"] == ["a@b.c"]
+    assert logged["recipients"] == sent["recipients"] == ["a@b.c"]
+
+    world.invoke_user_tool("SystemApp__open_app", {"app_name": "EmailApp"})
+    world.invoke_user_tool("EmailApp__start_compose", {})
+    typed = {"recipients": ["ana@x.y"]}
+    world.invoke_user_tool("EmailApp__set_recipients", typed)
+    logged = world.tool_log[-1]["args"]
+    for tool, call in [("set_subject", {"subject": "hi"}), ("set_body", {"body": "b"}),
+                       ("send_composed_email", {})]:
+        world.invoke_user_tool(f"EmailApp__{tool}", call)
+    typed["recipients"].append("x@y.z")
+    assert logged == {"recipients": ["ana@x.y"]}
+    assert emails.all()[-1]["recipients"] == ["ana@x.y"]
 
 
 def test_screen_lists_page_while_the_api_lists_everything():
@@ -516,6 +536,49 @@ def test_handlers_change_records_only_through_store_writes(monkeypatch):
     assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == WALK_SHA256
     text = "\n".join(_pack_checkpoints()) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PACK_CHECKPOINTS_SHA256
+
+
+# Every module-level record shape: records and drafts are built over them.
+SHAPES = (email_app.EMAIL, email_app.DRAFT_SHAPE, calendar_app.EVENT, reminder.REMINDER,
+          note.NOTE, note.DRAFT_SHAPE, contacts.CONTACT)
+
+
+def _shared(value):
+    """A deep copy of what the runs of a loaded scenario or script share: a
+    scenario's init and event arguments, or a script's steps."""
+    if isinstance(value, Scenario):
+        return copy.deepcopy((value.init, [event.args for event in value.events]))
+    return copy.deepcopy(value)
+
+
+def test_shared_inputs_stay_as_loaded(tmp_path, monkeypatch):
+    """Records, drafts and logs share lists with the record shapes, the
+    scenarios' init and event arguments, the distractor catalog and the
+    script steps, which every world, episode and thread of a run reads. No
+    list is changed in place, so after the frozen walk and a two-thread pack
+    sweep each still equals a snapshot taken before."""
+    loaded = []       # (the object a run shares, its snapshot)
+    for name in ("load_scenario", "load_script"):
+        def loading(path, _real=getattr(phonesim.cli, name)):
+            value = _real(path)
+            loaded.append((value, _shared(value)))
+            return value
+        monkeypatch.setattr(phonesim.cli, name, loading)
+    shapes, catalog = copy.deepcopy(SHAPES), copy.deepcopy(load_distractor_catalog())
+
+    transcript, _ = _walk(WALK_STEPS, seed=7)
+    assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == WALK_SHA256
+    assert SHAPES == shapes
+    assert main(["run", "--scenarios", str(DATA / "scenarios"),
+                 "--user-policy", f"scripted:{DATA / 'scripts/apartment_user.yaml'}",
+                 "--assistant-policy", f"scripted:{DATA / 'scripts/apartment_assistant.yaml'}",
+                 "--runs", "2", "--seed", "5", "--noise-rate", "0,2", "--failure-prob", "0,0.1",
+                 "--jobs", "2", "--out", str(tmp_path / "out")]) == 0
+    assert len(loaded) == 8
+    assert [_shared(value) for value, _ in loaded] == [snapshot for _, snapshot in loaded]
+    assert SHAPES == shapes
+    assert load_distractor_catalog() == catalog == json.loads(
+        DATA.joinpath("distractors.json").read_text("utf-8"))
 
 
 def test_user_actions_forwarded_to_assistant_in_order():
